@@ -341,6 +341,13 @@ def _simulate_batch(trace, configs, policy) -> list[SimulationResult]:
         for c, biu in zip(configs, bius)
     ]
     fpus = [DecoupledFPU(c.fpu) for c in configs]
+    # D-cache tag checks run inline against each cache's own lists (as in
+    # the scalar loop); the access/hit counters reach the caches at drain.
+    dtags = [d._tags for d in dcaches]
+    dreadys = [d._ready for d in dcaches]
+    dmasks = [d._index_mask for d in dcaches]
+    daccesses = [0] * n
+    dhits = [0] * n
     inflights: list[dict[int, int]] = [{} for _ in configs]
     dlats = [c.dcache_latency for c in configs]
     precise = [c.fpu_precise_exceptions for c in configs]
@@ -707,12 +714,17 @@ def _simulate_batch(trace, configs, policy) -> list[SimulationResult]:
                 ready_list = []
                 for i in range(n):
                     access = access_list[i]
-                    dcache = dcaches[i]
                     if wcs[i].load_lookup(addr, access):
-                        data_ready = access + WC_FORWARD_LATENCY
-                    elif dcache.lookup(addr):
-                        ready_at = dcache.ready_time(addr)
-                        data_ready = max(access, ready_at) + dlats[i]
+                        ready_list.append(access + WC_FORWARD_LATENCY)
+                        continue
+                    daccesses[i] += 1
+                    dset = dline & dmasks[i]
+                    if dtags[i][dset] == dline:
+                        dhits[i] += 1
+                        ready_at = dreadys[i][dset]
+                        data_ready = (
+                            access if access > ready_at else ready_at
+                        ) + dlats[i]
                     else:
                         inflight = inflights[i]
                         arrival = inflight.get(dline)
@@ -724,9 +736,11 @@ def _simulate_batch(trace, configs, policy) -> list[SimulationResult]:
                                 arrival = bius[i].request(access, "dread")
                             else:
                                 arrival = parr if parr > access else access
-                            fill_done = dports[i].occupy_for_fill(arrival)
+                            dtags[i][dset] = dline
+                            dreadys[i][dset] = dports[i].occupy_for_fill(
+                                arrival
+                            )
                             port_maxend[i] = dports[i]._max_end
-                            dcache.fill(addr, fill_done)
                             inflight[dline] = arrival
                             if len(inflight) > INFLIGHT_BOUND:
                                 inflights[i] = {
@@ -769,9 +783,13 @@ def _simulate_batch(trace, configs, policy) -> list[SimulationResult]:
                 complete_list = []
                 for i in range(n):
                     access = access_list[i]
-                    dcache = dcaches[i]
-                    if not dcache.lookup(addr):
-                        dcache.fill(addr, access + dlats[i])
+                    daccesses[i] += 1
+                    dset = dline & dmasks[i]
+                    if dtags[i][dset] == dline:
+                        dhits[i] += 1
+                    else:
+                        dtags[i][dset] = dline
+                        dreadys[i][dset] = access + dlats[i]
                     pools[i].drop_line(dline)
                     if kind == _K_FP_STORE:
                         data_out = fpus[i].store(
@@ -921,6 +939,8 @@ def _simulate_batch(trace, configs, policy) -> list[SimulationResult]:
             stats.stall_cycles[kind_enum] = int(stall[row, i])
         stats.icache_accesses = record_count
         stats.icache_hits = record_count - imisses[i]
+        dcaches[i].accesses += daccesses[i]
+        dcaches[i].hits += dhits[i]
         stats.dcache_accesses = dcaches[i].accesses
         stats.dcache_hits = dcaches[i].hits
         pool_stats = pools[i].stats

@@ -48,11 +48,13 @@ class MSHRFile:
         ``grant``; the caller must follow with :meth:`set_release` once the
         instruction's LSU-residency end time is known.
         """
-        index = min(range(len(self._free_at)), key=self._free_at.__getitem__)
-        grant = max(time, self._free_at[index])
+        free_at = self._free_at
+        best = min(free_at)
+        index = free_at.index(best)  # the first earliest-free entry
+        grant = time if time >= best else best
         if grant > time:
             self.stall_cycles += grant - time
-        self._free_at[index] = grant
+        free_at[index] = grant
         self.allocations += 1
         if self.telemetry:
             self.telemetry.emit(

@@ -27,7 +27,6 @@ tracked separately.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
 from repro.core.biu import BusInterfaceUnit
@@ -71,6 +70,21 @@ WC_FORWARD_LATENCY = 2
 #: Entry-count bound on the in-flight D-line fill map; crossing it prunes
 #: entries whose fill has already arrived (never genuinely pending ones).
 INFLIGHT_BOUND = 4096
+
+#: Stall kinds in enum order; the hot loop counts stalls by position.
+_STALL_KINDS = tuple(StallKind)
+_S_ICACHE = _STALL_KINDS.index(StallKind.ICACHE)
+_S_LOAD = _STALL_KINDS.index(StallKind.LOAD)
+_S_ROB_FULL = _STALL_KINDS.index(StallKind.ROB_FULL)
+_S_LSU = _STALL_KINDS.index(StallKind.LSU)
+_S_PAIRING = _STALL_KINDS.index(StallKind.PAIRING)
+_S_FPU = _STALL_KINDS.index(StallKind.FPU)
+
+
+def _flush_stalls(counts: list[int], target: dict) -> None:
+    """Copy position-indexed stall counts into a StallKind-keyed dict."""
+    for kind, count in zip(_STALL_KINDS, counts):
+        target[kind] = count
 
 
 def _record_rows(trace, line_shift: int):
@@ -156,6 +170,13 @@ class AuroraProcessor:
         Raises :class:`repro.robustness.guards.SimulationError` if a
         runtime invariant guard trips (wedged pipeline, structure
         over-occupancy, cycle-count overflow).
+
+        The loop body is hand-tuned (docs/PERFORMANCE.md, "Scalar hot
+        loop"): both caches' tag checks run inline against the caches'
+        own ``_tags``/``_ready`` lists, stall cycles accumulate in an
+        index-keyed list, and the watchdog's per-record comparisons run
+        inline.  Counters reach their objects at drain, and the stall
+        list reaches ``stats.stall_cycles`` before any guard can raise.
         """
         from repro.robustness.guards import Watchdog
 
@@ -201,13 +222,22 @@ class AuroraProcessor:
             watchdog.watch(mshr)
             watchdog.watch(writecache)
             watchdog.watch(fpu)
+        # Inline watchdog: the same two per-record comparisons as
+        # Watchdog.observe, plus its structure sweep every check_period
+        # records; a trip hands off to the Watchdog to build the error.
+        max_stall_cycles = self.policy.max_stall_cycles
+        cycle_limit = self.policy.cycle_limit
+        check_period = self.policy.check_period
+        countdown = check_period
 
         line_shift = cfg.line_bytes.bit_length() - 1
         dcache_latency = cfg.dcache_latency
+        mem_miss_floor = 1 + dcache_latency
         issue_width = cfg.issue_width
         retire_width = cfg.retire_width
         rob_capacity = cfg.rob_entries
         folding = cfg.branch_folding
+        precise_fp = cfg.fpu_precise_exceptions
 
         # Scoreboard: availability time of each unified register, plus
         # whether the last writer was a load-class producer (for stall
@@ -215,9 +245,16 @@ class AuroraProcessor:
         reg_ready = [0] * 66
         reg_from_load = [False] * 66
 
-        rob: deque[int] = deque()  # retire times of the last R instructions
-        rob_is_mem: deque[bool] = deque()  # head entry waiting on the LSU?
-        retire_window: deque[int] = deque([0] * retire_width, maxlen=retire_width)
+        # Retire ring: slot (j & ring_mask) holds record j's retire time
+        # and whether it was a memory instruction still waiting on the
+        # LSU.  Reading at (index - rob_capacity) gives the reorder-buffer
+        # head, at (index - retire_width) the retire-window floor; the
+        # ring is strictly larger than both, and unwritten slots read 0
+        # (an empty reorder buffer, a zero-seeded retire window).
+        ring_size = 1 << max(rob_capacity, retire_width).bit_length()
+        ring_mask = ring_size - 1
+        retire_ring = [0] * ring_size
+        rob_is_mem = [False] * ring_size
         last_retire = 0
 
         last_issue = -1
@@ -232,7 +269,32 @@ class AuroraProcessor:
         # slot), so this must hold more than one entry.
         redirects: dict[int, int] = {}
 
-        stall = stats.stall_cycles  # local alias
+        # Stall cycles by StallKind position (_STALL_KINDS order).
+        stall = [0] * len(_STALL_KINDS)
+        loads = stores = branches = taken_branches = 0
+        fp_instructions = dual_issued_pairs = 0
+
+        # Inline cache tag state: the caches' own lists, indexed by set.
+        itags = icache._tags
+        iready = icache._ready
+        imask = icache._index_mask
+        ihits = 0
+        dtags = dcache._tags
+        dready = dcache._ready
+        dmask = dcache._index_mask
+        daccesses = dhits = 0
+
+        mshr_free = mshr._free_at
+        set_release = mshr.set_release
+        start_access = dport.start_access
+        occupy_for_fill = dport.occupy_for_fill
+        pool_lookup = pool.lookup
+        pool_allocate = pool.allocate
+        drop_line = pool.drop_line
+        biu_request = biu.request
+        wc_load_lookup = writecache.load_lookup
+        wc_store = writecache.store
+        fpu_dispatch_floor = fpu.dispatch_floor
 
         # One loop body for both trace representations: prepared traces
         # supply precomputed per-record rows, tuple traces derive the
@@ -248,19 +310,21 @@ class AuroraProcessor:
         ) in enumerate(rows):
 
             # ---------------------------------------------------- fetch side
-            request_time = last_issue if last_issue > 0 else 0
-            if icache.lookup(pc):
-                t_fetch = icache.ready_time(pc)
+            iset = iline & imask
+            if itags[iset] == iline:
+                ihits += 1
+                t_fetch = iready[iset]
             else:
-                line = iline
-                arrival = pool.lookup(line, request_time, "I")
+                request_time = last_issue if last_issue > 0 else 0
+                arrival = pool_lookup(iline, request_time, "I")
                 if arrival is None:
-                    pool.allocate(line, request_time, stream="I")
-                    arrival = biu.request(request_time, "ifetch")
+                    pool_allocate(iline, request_time, stream="I")
+                    arrival = biu_request(request_time, "ifetch")
                 elif arrival < request_time:
                     arrival = request_time
                 t_fetch = arrival + 1
-                icache.fill(pc, t_fetch)
+                itags[iset] = iline
+                iready[iset] = t_fetch
                 if tele is not None:
                     tele.emit(
                         request_time,
@@ -291,18 +355,19 @@ class AuroraProcessor:
                 t_operand = reg_ready[s2]
                 operand_from_load = reg_from_load[s2]
 
-            t_rob = rob[0] if len(rob) >= rob_capacity else 0
+            rob_slot = (index - rob_capacity) & ring_mask
+            t_rob = retire_ring[rob_slot]
 
             t_lsu = 0
             if is_mem:
-                t_lsu = mshr.earliest_grant(0) - 1
-                port_floor = dport.next_slot - 1
+                t_lsu = min(mshr_free) - 1
+                port_floor = dport._next_slot - 1
                 if port_floor > t_lsu:
                     t_lsu = port_floor
 
             t_fpu = 0
             if is_fp_dispatch:
-                t_fpu = fpu.dispatch_floor() - FPU_TRANSFER
+                t_fpu = fpu_dispatch_floor() - FPU_TRANSFER
             elif kind == _K_BRANCH and s1 < 0 and s2 < 0:
                 # bc1t/bc1f: wait for the FP condition flag from the FPU.
                 t_fpu = fpu.cond_ready + 1
@@ -322,32 +387,32 @@ class AuroraProcessor:
             # --------------------------------------------- stall attribution
             if issue > floor:
                 if issue == t_fetch:
-                    cause = StallKind.ICACHE
+                    cause = _S_ICACHE
                 elif issue == t_operand:
                     if operand_from_load:
-                        cause = StallKind.LOAD
+                        cause = _S_LOAD
                     else:
-                        cause = StallKind.PAIRING
+                        cause = _S_PAIRING
                 elif issue == t_rob:
                     # The paper charges a full reorder buffer to the LSU
                     # when the entry blocking retirement is a memory
                     # instruction still waiting on its data ("most cycles
                     # are spent waiting for data from the LSU").
-                    if rob_is_mem and rob_is_mem[0]:
-                        cause = StallKind.LSU
+                    if rob_is_mem[rob_slot]:
+                        cause = _S_LSU
                     else:
-                        cause = StallKind.ROB_FULL
+                        cause = _S_ROB_FULL
                 elif issue == t_lsu:
-                    cause = StallKind.LSU
+                    cause = _S_LSU
                 else:
-                    cause = StallKind.FPU
+                    cause = _S_FPU
                 stall[cause] += issue - floor
                 if tele is not None:
                     tele.emit(
                         floor,
                         "issue",
                         EventKind.STALL,
-                        stall=cause.value,
+                        stall=_STALL_KINDS[cause].value,
                         cycles=issue - floor,
                         index=index,
                         pc=pc,
@@ -363,10 +428,10 @@ class AuroraProcessor:
                     and not (is_mem and prev_was_mem)
                 )
                 if pairable:
-                    stats.dual_issued_pairs += 1
+                    dual_issued_pairs += 1
                 else:
                     issue += 1
-                    stall[StallKind.PAIRING] += 1
+                    stall[_S_PAIRING] += 1
                     if tele is not None:
                         tele.emit(
                             issue - 1,
@@ -394,42 +459,49 @@ class AuroraProcessor:
                     reg_from_load[dst] = False
 
             elif kind == _K_LOAD or kind == _K_FP_LOAD:
-                stats.loads += 1
-                access = dport.start_access(issue + 1)
+                loads += 1
+                access = start_access(issue + 1)
                 grant, slot = mshr.allocate(access)
                 access = grant
                 # The write cache is on chip and probed first; a forward
-                # from it never goes out to the external data cache.
-                if writecache.load_lookup(addr, access):
+                # from it never goes out to the external data cache, so
+                # only loads that miss it count as D-cache accesses.
+                if wc_load_lookup(addr, access):
                     data_ready = access + WC_FORWARD_LATENCY
-                elif dcache.lookup(addr):
-                    ready_at = dcache.ready_time(addr)
-                    data_ready = max(access, ready_at) + dcache_latency
                 else:
-                    line = dline
-                    arrival = inflight.get(line)
-                    if arrival is None:
-                        parr = pool.lookup(line, access, "D")
-                        if parr is None:
-                            pool.allocate(line, access, stream="D")
-                            arrival = biu.request(access, "dread")
-                        else:
-                            arrival = parr if parr > access else access
-                        fill_done = dport.occupy_for_fill(arrival)
-                        dcache.fill(addr, fill_done)
-                        inflight[line] = arrival
-                        if len(inflight) > INFLIGHT_BOUND:
-                            # Evict only fills that have already arrived;
-                            # wholesale clearing would forget genuinely
-                            # pending lines and double-request them.
-                            inflight = {
-                                fill_line: fill_at
-                                for fill_line, fill_at in inflight.items()
-                                if fill_at > access
-                            }
-                    data_ready = arrival + 1
+                    daccesses += 1
+                    dset = dline & dmask
+                    if dtags[dset] == dline:
+                        dhits += 1
+                        ready_at = dready[dset]
+                        data_ready = (
+                            access if access > ready_at else ready_at
+                        ) + dcache_latency
+                    else:
+                        arrival = inflight.get(dline)
+                        if arrival is None:
+                            parr = pool_lookup(dline, access, "D")
+                            if parr is None:
+                                pool_allocate(dline, access, stream="D")
+                                arrival = biu_request(access, "dread")
+                            else:
+                                arrival = parr if parr > access else access
+                            dtags[dset] = dline
+                            dready[dset] = occupy_for_fill(arrival)
+                            inflight[dline] = arrival
+                            if len(inflight) > INFLIGHT_BOUND:
+                                # Evict only fills that have already
+                                # arrived; wholesale clearing would forget
+                                # genuinely pending lines and
+                                # double-request them.
+                                inflight = {
+                                    fill_line: fill_at
+                                    for fill_line, fill_at in inflight.items()
+                                    if fill_at > access
+                                }
+                        data_ready = arrival + 1
                 if kind == _K_LOAD:
-                    mshr.set_release(slot, data_ready)
+                    set_release(slot, data_ready)
                     complete = data_ready
                     if dst >= 0:
                         reg_ready[dst] = data_ready
@@ -438,38 +510,43 @@ class AuroraProcessor:
                     # FP load: honour load-queue backpressure, hand to FPU.
                     eff = max(data_ready, fpu.load_data_floor())
                     fpu.load(dst - 32, eff + 1, issue + FPU_TRANSFER)
-                    mshr.set_release(slot, eff + 1)
+                    set_release(slot, eff + 1)
                     complete = access + 1
-                    stats.fp_instructions += 1
+                    fp_instructions += 1
 
             elif kind == _K_STORE or kind == _K_FP_STORE:
-                stats.stores += 1
-                access = dport.start_access(issue + 1)
+                stores += 1
+                access = start_access(issue + 1)
                 grant, slot = mshr.allocate(access)
                 access = grant
-                mshr.set_release(slot, access + dcache_latency)
-                if not dcache.lookup(addr):
+                set_release(slot, access + dcache_latency)
+                daccesses += 1
+                dset = dline & dmask
+                if dtags[dset] == dline:
+                    dhits += 1
+                else:
                     # Write-validate allocation: the coalescing write cache
                     # assembles whole lines, so a store miss installs the
                     # line without a memory fetch when the line drains.
-                    dcache.fill(addr, access + dcache_latency)
-                pool.drop_line(dline)
+                    dtags[dset] = dline
+                    dready[dset] = access + dcache_latency
+                drop_line(dline)
                 if kind == _K_FP_STORE:
                     data_out = fpu.store(s2 - 32, issue + FPU_TRANSFER)
-                    complete = writecache.store(addr, access, fp_data_at=data_out)
-                    stats.fp_instructions += 1
+                    complete = wc_store(addr, access, fp_data_at=data_out)
+                    fp_instructions += 1
                 else:
-                    complete = writecache.store(addr, access)
+                    complete = wc_store(addr, access)
 
             elif kind == _K_BRANCH or kind == _K_JUMP:
-                stats.branches += 1
+                branches += 1
                 complete = issue + 1
                 if dst >= 0:  # jal/jalr write the link register
                     reg_ready[dst] = complete
                     reg_from_load[dst] = False
                 taken = addr != 0
                 if taken:
-                    stats.taken_branches += 1
+                    taken_branches += 1
                     register_jump = kind == _K_JUMP and s1 >= 0
                     if register_jump or not folding:
                         # One fetch bubble: the target index is not in the
@@ -494,12 +571,12 @@ class AuroraProcessor:
                                 )
 
             elif kind in _FP_ARITH_KINDS:
-                stats.fp_instructions += 1
+                fp_instructions += 1
                 fd = dst - 32 if dst >= 32 else -1
                 fs = s1 - 32 if s1 >= 32 else -1
                 ft = s2 - 32 if s2 >= 32 else -1
                 fp_done = fpu.arith(kind, fd, fs, ft, issue + FPU_TRANSFER)
-                if cfg.fpu_precise_exceptions:
+                if precise_fp:
                     # Conservative mode: hold the IPU reorder-buffer entry
                     # until the FPU result (and its exception status) is
                     # known — the decoupling queues stop paying off.
@@ -508,8 +585,8 @@ class AuroraProcessor:
                     complete = issue + 1  # transferred; imprecise exceptions
 
             elif kind == _K_FP_MOVE:
-                stats.fp_instructions += 1
-                access = dport.start_access(issue + 1)
+                fp_instructions += 1
+                access = start_access(issue + 1)
                 if dst >= 32:  # mtc1
                     fpu.mtc1(dst - 32, access + 1, issue + FPU_TRANSFER)
                     complete = access + 1
@@ -527,19 +604,9 @@ class AuroraProcessor:
             retire = complete
             if last_retire > retire:
                 retire = last_retire
-            window_floor = retire_window[0] + 1
+            window_floor = retire_ring[(index - retire_width) & ring_mask] + 1
             if window_floor > retire:
                 retire = window_floor
-            last_retire = retire
-            retire_window.append(retire)
-            rob.append(retire)
-            # Only a *missing* memory instruction at the ROB head counts as
-            # an LSU wait; one completing at cache-hit speed that still
-            # backs up retirement is a genuine reorder-buffer-size stall.
-            rob_is_mem.append(is_mem and complete > issue + 1 + dcache_latency)
-            if len(rob) > rob_capacity:
-                rob.popleft()
-                rob_is_mem.popleft()
 
             if tele is not None:
                 tele.emit(
@@ -551,14 +618,39 @@ class AuroraProcessor:
                 )
 
             if watchdog is not None:
-                watchdog.observe(index, retire)
+                if (
+                    retire - last_retire > max_stall_cycles
+                    or retire > cycle_limit
+                ):
+                    _flush_stalls(stall, stats.stall_cycles)
+                    watchdog.check_retire(index, retire, last_retire)
+                countdown -= 1
+                if countdown <= 0:
+                    countdown = check_period
+                    _flush_stalls(stall, stats.stall_cycles)
+                    watchdog.check_structures(index, retire)
+
+            last_retire = retire
+            slot_now = index & ring_mask
+            retire_ring[slot_now] = retire
+            # Only a *missing* memory instruction at the ROB head counts as
+            # an LSU wait; one completing at cache-hit speed that still
+            # backs up retirement is a genuine reorder-buffer-size stall.
+            rob_is_mem[slot_now] = is_mem and complete > issue + mem_miss_floor
 
         # ------------------------------------------------------------ drain
+        _flush_stalls(stall, stats.stall_cycles)
+        record_count = len(trace)
+        icache.accesses += record_count
+        icache.hits += ihits
+        dcache.accesses += daccesses
+        dcache.hits += dhits
+
         end = last_retire
         end = max(end, fpu.last_event, mshr.all_free_at)
         end = max(end, writecache.flush(end))
 
-        stats.instructions = len(trace)
+        stats.instructions = record_count
         stats.cycles = end
         stats.icache_accesses = icache.accesses
         stats.icache_hits = icache.hits
@@ -574,6 +666,12 @@ class AuroraProcessor:
         stats.writecache_hits = wc_stats.hits
         stats.store_instructions = wc_stats.store_instructions
         stats.store_transactions = wc_stats.store_transactions
+        stats.loads = loads
+        stats.stores = stores
+        stats.branches = branches
+        stats.taken_branches = taken_branches
+        stats.fp_instructions = fp_instructions
+        stats.dual_issued_pairs = dual_issued_pairs
         stats.fpu_instructions = fpu.instructions
         stats.fpu_busy_cycles = fpu.issue_stall_cycles
         return SimulationResult(config=self.config, stats=stats)

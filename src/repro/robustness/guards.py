@@ -121,9 +121,11 @@ DISABLED_POLICY = RobustnessPolicy(enabled=False)
 class Watchdog:
     """Forward-progress and overflow watchdog for one timing run.
 
-    The processor feeds it every instruction's retire time via
-    :meth:`observe`; occupancy-checked structures are registered and
-    polled every ``policy.check_period`` instructions.
+    :meth:`observe` takes every instruction's retire time; occupancy-
+    checked structures are registered and polled every
+    ``policy.check_period`` instructions.  The scalar timing loop inlines
+    :meth:`observe`'s comparisons and countdown, and calls
+    :meth:`check_retire` and :meth:`check_structures` itself.
     """
 
     config: MachineConfig
@@ -141,8 +143,23 @@ class Watchdog:
 
     def observe(self, index: int, retire: int) -> None:
         """Feed one instruction's retire time; raises on violations."""
+        self.check_retire(index, retire, self._last_retire)
+        if retire > self._last_retire:
+            self._last_retire = retire
+        self._countdown -= 1
+        if self._countdown <= 0:
+            self._countdown = self.policy.check_period
+            self.check_structures(index, retire)
+
+    def check_retire(self, index: int, retire: int, last_retire: int) -> None:
+        """Forward-progress and overflow checks for one retire time.
+
+        ``last_retire`` is the latest retire time before this one.  The
+        timing loop runs the same two comparisons inline and calls this
+        only when one of them trips, so the error is built here either way.
+        """
         policy = self.policy
-        gap = retire - self._last_retire
+        gap = retire - last_retire
         if gap > policy.max_stall_cycles:
             raise self._error(
                 "forward-progress",
@@ -158,12 +175,6 @@ class Watchdog:
                 cycle=retire,
                 index=index,
             )
-        if retire > self._last_retire:
-            self._last_retire = retire
-        self._countdown -= 1
-        if self._countdown <= 0:
-            self._countdown = policy.check_period
-            self.check_structures(index, retire)
 
     def check_structures(self, index: int, cycle: int) -> None:
         """Run every registered structure's occupancy assertion."""

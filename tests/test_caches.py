@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core.caches import DirectMappedCache, PipelinedCachePort
+from repro.workloads.registry import FP_SUITE, INTEGER_SUITE
 
 
 class TestDirectMappedCache:
@@ -102,3 +103,34 @@ class TestPipelinedCachePort:
         assert port.occupy_for_fill(10) == 12
         assert port.occupy_for_fill(10) == 14  # second fill queues
         assert port.start_access(11) == 14  # access inside the windows waits
+
+
+class TestICacheOracle:
+    """Timing-loop I-cache counters against a standalone tag replay.
+
+    Every I-side miss fills, so the hit/access counts do not depend on
+    timing: replaying the prepared trace's I-line column through a fresh
+    :class:`DirectMappedCache` must give the simulator's numbers exactly.
+    The timing loop checks tags inline and never calls ``lookup``, so the
+    two share no tag-check code.
+    """
+
+    @pytest.mark.parametrize("workload", INTEGER_SUITE + FP_SUITE)
+    def test_counters_match_tag_replay(self, workload):
+        from repro.core.config import BASELINE, small_model
+        from repro.core.processor import simulate_trace
+        from repro.experiments.common import scaled_trace
+        from repro.func.prepared import prepare_trace
+
+        trace = prepare_trace(scaled_trace(workload, 0.05))
+        for config in (BASELINE, small_model()):
+            shift = config.line_bytes.bit_length() - 1
+            cache = DirectMappedCache(config.icache_bytes, config.line_bytes)
+            for line in trace.lines(shift)[0]:
+                if not cache.lookup(line << shift):
+                    cache.fill(line << shift, 0)
+            stats = simulate_trace(trace, config).stats
+            assert (stats.icache_accesses, stats.icache_hits) == (
+                cache.accesses,
+                cache.hits,
+            ), f"{workload} on {config.label}"

@@ -13,6 +13,7 @@ from repro.core.config import BASELINE, ConfigError, FPUConfig, MachineConfig
 from repro.core.fpu import DecoupledFPU
 from repro.core.mshr import MSHRFile
 from repro.core.processor import AuroraProcessor, simulate_trace
+from repro.core.stats import StallKind
 from repro.experiments.common import CpiSummary, scaled_trace
 from repro.robustness.faults import FaultPlan, FaultSpec, TransientFault, corrupt_trace
 from repro.robustness.guards import (
@@ -358,6 +359,67 @@ class TestWatchdog:
         assert "forward-progress" in message
         assert "baseline/dual/L17" in message
         assert "fingerprint" in message
+
+
+def _wedge_mshr(monkeypatch, delay):
+    original = MSHRFile.allocate
+
+    def wedged(self, when):
+        grant, slot = original(self, when)
+        return grant + delay, slot
+
+    monkeypatch.setattr(MSHRFile, "allocate", wedged)
+
+
+class TestGuardParity:
+    """The timing loop runs the watchdog's checks inline; a trip must
+    still report exactly what Watchdog.observe reported per record."""
+
+    def test_trip_snapshot_equals_unguarded_prefix_stalls(
+        self, small_trace, monkeypatch
+    ):
+        _wedge_mshr(monkeypatch, 10_000_000_000)
+        policy = RobustnessPolicy(max_stall_cycles=50_000)
+        with pytest.raises(SimulationError) as excinfo:
+            AuroraProcessor(BASELINE, policy).run(small_trace)
+        error = excinfo.value
+        assert error.reason == "forward-progress"
+        assert set(error.stall_snapshot) == set(StallKind)
+        assert sum(error.stall_snapshot.values()) > 0
+
+        prefix = small_trace[: error.instruction_index + 1]
+        unguarded = AuroraProcessor(
+            BASELINE, RobustnessPolicy(enabled=False)
+        ).run(prefix)
+        assert error.stall_snapshot == unguarded.stats.stall_cycles
+
+    def test_reported_gap_is_measured_from_the_previous_retire(
+        self, small_trace, monkeypatch
+    ):
+        _wedge_mshr(monkeypatch, 10_000_000_000)
+        policy = RobustnessPolicy(max_stall_cycles=50_000)
+        with pytest.raises(SimulationError) as excinfo:
+            AuroraProcessor(BASELINE, policy).run(small_trace)
+        error = excinfo.value
+        assert error.instruction_index > 0
+        gap = int(str(error).split("no instruction retired for ")[1].split()[0])
+        assert 50_000 < gap < error.cycle
+
+    def test_occupancy_sweep_runs_from_the_first_record(
+        self, small_trace, monkeypatch
+    ):
+        def failing(self):
+            raise GuardViolation("MSHR file corrupted for the test")
+
+        monkeypatch.setattr(MSHRFile, "assert_capacity", failing)
+        policy = RobustnessPolicy(check_period=1)
+        with pytest.raises(SimulationError) as excinfo:
+            AuroraProcessor(BASELINE, policy).run(small_trace)
+        error = excinfo.value
+        assert error.reason == "occupancy"
+        assert error.instruction_index == 0
+        assert isinstance(error.__cause__, GuardViolation)
+        assert "corrupted for the test" in str(error)
 
 
 class TestStructureGuards:
