@@ -151,8 +151,3 @@ class PipelinedCachePort:
                     time = end
                     moved = True
         return time
-
-    @property
-    def next_slot(self) -> int:
-        """Next pipelined issue slot (ignores future fill windows)."""
-        return self._next_slot
