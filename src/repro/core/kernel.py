@@ -20,8 +20,12 @@ per trace record:
   against real per-config structure objects (write cache, stream-buffer
   pool, BIU, FPU, D-cache port), so
   :class:`~repro.core.stats.SimStats` are byte-identical per config by
-  construction — the same discipline ``REPRO_TRACE_PATH`` holds for
-  trace representations.
+  construction.
+
+Both kernels read only :meth:`PreparedTrace.rows
+<repro.func.prepared.PreparedTrace.rows>`; a plain record list is
+prepared once on entry (:func:`~repro.func.prepared.prepare_trace` is
+idempotent, so prepared sweep traces pass through untouched).
 
 Kernel selection: ``REPRO_SIM_KERNEL`` (``scalar`` | ``batched``,
 validated eagerly by :func:`repro.robustness.validation
@@ -68,11 +72,10 @@ from repro.core.processor import (
     _K_LOAD,
     _K_NOP,
     _K_STORE,
-    _record_rows,
 )
 from repro.core.stats import SimStats, StallKind
 from repro.core.writecache import WriteCache
-from repro.func.prepared import PreparedTrace
+from repro.func.prepared import prepare_trace
 
 #: Environment switch naming the kernel the sweep layer should use.
 ENV_KERNEL = "REPRO_SIM_KERNEL"
@@ -111,8 +114,9 @@ class KernelError(ValueError):
 def kernel_mode(environ: Mapping[str, str] | None = None) -> str:
     """The kernel named by ``REPRO_SIM_KERNEL`` (default ``scalar``).
 
-    Raises :class:`KernelError` naming the variable for any other value,
-    the same eager-validation contract as ``REPRO_TRACE_PATH``.
+    Raises :class:`KernelError` naming the variable for any other value;
+    :func:`repro.robustness.validation.validate_environment` calls this
+    at CLI startup.
     """
     env = os.environ if environ is None else environ
     value = env.get(ENV_KERNEL, "")
@@ -145,6 +149,7 @@ class ScalarKernel:
         policy=None,
         telemetry=None,
     ) -> list[SimulationResult]:
+        trace = prepare_trace(trace)
         return [
             AuroraProcessor(config, policy, telemetry=telemetry).run(trace)
             for config in configs
@@ -188,6 +193,7 @@ class BatchedKernel:
         _BATCH_CONFIGS += len(configs)
         if not configs:
             return []
+        trace = prepare_trace(trace)
         # Partition by line size: the spine shares per-record cache-line
         # indices, which assume one line_bytes across the batch.  Every
         # paper model uses 32-byte lines, so this is almost always one
@@ -529,15 +535,10 @@ def _simulate_batch(trace, configs, policy) -> list[SimulationResult]:
     imemo_line = -1
     imemo_fetch: np.ndarray | None = None
 
-    if isinstance(trace, PreparedTrace):
-        rows = trace.rows(line_shift)
-    else:
-        rows = _record_rows(trace, line_shift)
-
     for index, (
         pc, kind, dst, s1, s2, addr, is_mem, is_fp_dispatch,
         iline, dline,
-    ) in enumerate(rows):
+    ) in enumerate(trace.rows(line_shift)):
 
         # ---------------------------------------------------- fetch side
         # Consecutive records on one I-line are memoised: a hit leaves the

@@ -16,14 +16,15 @@ facts (kind classes, cache-line indices) for every single configuration.
   lists (fast C-level indexed access, no per-config tuple unpacking and
   no per-record ``frozenset`` membership tests).
 
-Preparation is **semantics-preserving**: a :class:`PreparedTrace` behaves
-like the ``list[TraceRecord]`` it was built from (``len``, indexing,
-iteration, equality all yield the same records), and
-:meth:`AuroraProcessor.run <repro.core.processor.AuroraProcessor.run>`
-produces byte-identical :class:`~repro.core.stats.SimStats` on either
-representation — ``tests/test_prepared.py`` asserts this over both
-benchmark suites and CI byte-diffs whole experiment reports across the
-two paths (see docs/MODELING.md and docs/PERFORMANCE.md).
+It is the only form the timing model reads: :meth:`AuroraProcessor.run
+<repro.core.processor.AuroraProcessor.run>` and the batched kernel call
+:func:`prepare_trace` once on entry, which passes prepared input through
+and converts a record list once.  Preparation is
+**semantics-preserving**: a :class:`PreparedTrace` behaves like the
+``list[TraceRecord]`` it was built from (``len``, indexing, iteration,
+equality all yield the same records), and ``tests/test_prepared.py``
+checks :meth:`PreparedTrace.rows` field by field for every ``Kind``
+(see docs/MODELING.md and docs/PERFORMANCE.md).
 """
 
 from __future__ import annotations

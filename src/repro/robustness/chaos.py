@@ -6,9 +6,8 @@ boundary (a callable crashes, wedges, or returns garbage).  This module
 attacks everything underneath it — the surfaces a multi-hour production
 sweep actually dies on:
 
-* **Trace-cache corruption** — bit-flips inside ``.v2.npy`` payloads,
-  truncation mid-record, stale v1 archives planted next to v2 entries.
-  Detected by the CRC32 sidecar check in
+* **Trace-cache corruption** — bit-flips inside ``.v2.npy`` payloads
+  and truncation mid-record.  Detected by the CRC32 sidecar check in
   :mod:`repro.workloads.trace_cache`; the entry is quarantined and
   rebuilt, and the sweep's results are byte-identical to a fault-free
   run.
@@ -61,8 +60,6 @@ CHAOS_KINDS = {
                         "entries (target: workload name or '*')"),
     "truncate": ("disk", "truncate matching .v2.npy cache entries "
                          "mid-record (target: workload name or '*')"),
-    "stale-v1": ("disk", "plant a stale v1 .npz archive next to matching "
-                         "v2 entries (target: workload name or '*')"),
     "torn-manifest": ("disk", "truncate the checkpoint manifest JSON "
                               "mid-entry (no target)"),
     "enospc": ("fs", "raise ENOSPC at a fault site (target: "
@@ -265,10 +262,6 @@ class ChaosPlan:
                 elif chaos_fault.kind == "truncate":
                     if truncate_file(entry, state):
                         applied.append(f"truncated {entry.name}")
-                elif chaos_fault.kind == "stale-v1":
-                    v1 = plant_stale_v1(entry)
-                    if v1 is not None:
-                        applied.append(f"planted stale v1 {v1.name}")
         if applied:
             from repro.telemetry.logging import get_logger
 
@@ -323,28 +316,6 @@ def truncate_file(path: str | pathlib.Path, seed: int) -> bool:
     except OSError:
         return False
     return True
-
-
-def plant_stale_v1(v2_path: str | pathlib.Path) -> pathlib.Path | None:
-    """Write a stale (valid but outdated) v1 archive next to a v2 entry.
-
-    The v1 trace is a tiny well-formed NOP trace that is *wrong* for the
-    workload — if the cache ever preferred it over the v2 entry, the
-    sweep's numbers would silently change.  Tests assert v2 still wins.
-    """
-    from repro.func.trace import save_trace
-
-    v2_path = pathlib.Path(v2_path)
-    name = v2_path.name
-    if not name.endswith(".v2.npy"):
-        return None
-    v1_path = v2_path.with_name(name[: -len(".v2.npy")] + ".npz")
-    stale = [(4096 + 4 * i, 0, -1, -1, -1, 0) for i in range(16)]
-    try:
-        save_trace(str(v1_path), stale)
-    except OSError:
-        return None
-    return v1_path
 
 
 def tear_manifest(path: str | pathlib.Path) -> bool:

@@ -18,18 +18,17 @@ Document format (``version`` 1)::
                   "sim_cycles": 90000, "wall_seconds": 0.41,
                   "cycles_per_second": 219512.2,
                   "instructions_per_second": 97561.0,
-                  "cache_hits": 1, "cache_misses": 0}, ...]}
+                  "cache_hits": 1, "cache_misses": 0,
+                  "kernel": "scalar", "mode": "simulate"}, ...]}
 
 Comparisons are only meaningful between like runs, so ``compare``
 refuses to judge a record against a baseline with a different
-``(workload, factor, config, trace_path, kernel, mode)`` key — a
-changed sweep is a new series, not a regression.  Several fields are
-optional for compatibility with records written before they existed:
-``trace_path`` ("prepared" | "tuples", which trace representation the
-simulator consumed; absent means "tuples", the only path that existed
-then), ``kernel`` ("scalar" | "batched", which simulation kernel ran;
-absent means "scalar"), and ``mode`` ("simulate" | "serve" |
-"explore"; absent means "simulate").  Serve-mode records come from
+``(workload, factor, config, kernel, mode)`` key — a changed sweep is
+a new series, not a regression.  ``kernel`` ("scalar" | "batched")
+names the simulation kernel that ran and ``mode`` ("simulate" |
+"serve" | "explore") the front end that drove it.  Fields outside the
+schema are kept as-is (older committed records still carry an inert
+``trace_path``).  Serve-mode records come from
 ``aurora-sim loadgen`` driving the live query service and additionally
 carry ``requests_per_second`` / ``latency_p50_ms`` / ``latency_p99_ms``;
 explore-mode records come from ``aurora-sim explore`` and additionally
@@ -68,36 +67,25 @@ _SCHEMA: dict[str, tuple[type, ...]] = {
     "cache_misses": (int,),
 }
 
-#: Optional fields (absent in pre-existing records): name -> (accepted
-#: types, allowed values or None).
-_OPTIONAL_SCHEMA: dict[str, tuple[tuple[type, ...], tuple | None]] = {
-    "trace_path": ((str,), ("prepared", "tuples")),
-    "kernel": ((str,), ("scalar", "batched")),
-    "mode": ((str,), ("simulate", "serve", "explore")),
-    "requests_per_second": ((int, float), None),
-    "latency_p50_ms": ((int, float), None),
-    "latency_p99_ms": ((int, float), None),
-    "configs_considered": ((int,), None),
-    "configs_simulated": ((int,), None),
-    "model_mean_rel_error": ((int, float), None),
+#: Required series-key fields with a closed value set: name -> allowed.
+_CHOICES: dict[str, tuple[str, ...]] = {
+    "kernel": ("scalar", "batched"),
+    "mode": ("simulate", "serve", "explore"),
 }
 
-#: What an absent ``trace_path`` means: every record written before the
-#: field existed came from the plain record-list path.
-LEGACY_TRACE_PATH = "tuples"
-#: What an absent ``kernel`` means: every record written before the
-#: field existed came from the scalar timing loop.
-LEGACY_KERNEL = "scalar"
-#: What an absent ``mode`` means: every record written before the serve
-#: front end existed measured the simulator directly.
-LEGACY_MODE = "simulate"
-
-#: Series-key fields whose absence has a defined legacy meaning.
-_LEGACY_DEFAULTS = {
-    "trace_path": LEGACY_TRACE_PATH,
-    "kernel": LEGACY_KERNEL,
-    "mode": LEGACY_MODE,
+#: Optional non-negative numeric fields carried by serve- and
+#: explore-mode records: name -> accepted types.
+_OPTIONAL_SCHEMA: dict[str, tuple[type, ...]] = {
+    "requests_per_second": (int, float),
+    "latency_p50_ms": (int, float),
+    "latency_p99_ms": (int, float),
+    "configs_considered": (int,),
+    "configs_simulated": (int,),
+    "model_mean_rel_error": (int, float),
 }
+
+#: The series key: ``compare`` only judges records that agree on all of it.
+_SERIES_KEY = ("workload", "factor", "config", "kernel", "mode")
 
 
 class BaselineError(ValueError):
@@ -131,7 +119,15 @@ def validate_record(payload: object, *, where: str = "record") -> dict:
                 f"{where}: field {name!r} must be >= 0, "
                 f"got {payload[name]!r}"
             )
-    for name, (types, allowed) in _OPTIONAL_SCHEMA.items():
+    for name, allowed in _CHOICES.items():
+        if name not in payload:
+            raise BaselineError(f"{where}: missing field {name!r}")
+        if payload[name] not in allowed:
+            raise BaselineError(
+                f"{where}: field {name!r} must be one of "
+                f"{'/'.join(allowed)}, got {payload[name]!r}"
+            )
+    for name, types in _OPTIONAL_SCHEMA.items():
         if name not in payload:
             continue
         value = payload[name]
@@ -140,12 +136,7 @@ def validate_record(payload: object, *, where: str = "record") -> dict:
             raise BaselineError(
                 f"{where}: field {name!r} must be {expected}, got {value!r}"
             )
-        if allowed is not None and value not in allowed:
-            raise BaselineError(
-                f"{where}: field {name!r} must be one of "
-                f"{'/'.join(map(str, allowed))}, got {value!r}"
-            )
-        if allowed is None and value < 0:
+        if value < 0:
             raise BaselineError(
                 f"{where}: field {name!r} must be >= 0, got {value!r}"
             )
@@ -289,11 +280,10 @@ class PerfHistory:
 
         Raises :class:`BaselineError` when no baseline is stored or when
         the baseline belongs to a different (workload, factor, config,
-        trace_path, kernel, mode) series — in particular, a prepared-
-        path run is never judged against a tuple-path baseline, nor a
-        batched-kernel run against a scalar one, nor a serve-mode load
-        run against a simulate-mode profile (or vice versa): those
-        series have different throughput by design.
+        kernel, mode) series — in particular, a batched-kernel run is
+        never judged against a scalar one, nor a serve-mode load run
+        against a simulate-mode profile (or vice versa): those series
+        have different throughput by design.
         """
         if not 0 < threshold < 1:
             raise BaselineError(
@@ -306,17 +296,13 @@ class PerfHistory:
                 f"{self.path}: no baseline stored — seed one with "
                 "'aurora-sim perf --seed-baseline' first"
             )
-        mismatched = []
-        for key in (
-            "workload", "factor", "config", "trace_path", "kernel", "mode",
-        ):
-            legacy = _LEGACY_DEFAULTS.get(key)
-            mine = record.get(key, legacy)
-            theirs = baseline.get(key, legacy)
-            if mine != theirs:
-                mismatched.append((key, theirs, mine))
+        mismatched = [
+            (key, baseline[key], record[key])
+            for key in _SERIES_KEY
+            if record[key] != baseline[key]
+        ]
         if mismatched:
-            # Name *every* offending axis — with six series keys, naming
+            # Name *every* offending axis — with five series keys, naming
             # only the first made "which axis mismatched" a guessing game.
             detail = "; ".join(
                 f"baseline is for {key}={theirs!r} but this run has "

@@ -8,21 +8,16 @@ files under ``results/.trace_cache/`` (override with
 ``$REPRO_TRACE_CACHE_DIR``; disable with ``$REPRO_TRACE_CACHE=off`` or
 ``--no-trace-cache``).
 
-Format v2 (current).  A cache entry is an **uncompressed** ``.npy``
-array named ``<workload>-s<scale>-<fingerprint>.v2.npy``, loaded with
+Format v2.  A cache entry is an **uncompressed** ``.npy`` array named
+``<workload>-s<scale>-<fingerprint>.v2.npy``, loaded with
 ``np.load(mmap_mode="r")`` and wrapped in a
 :class:`~repro.func.prepared.PreparedTrace`.  Uncompressed-and-mapped
-beats the old compressed archive twice over: loads are lazy (no zip
-inflate before the first record is touched), and parallel sweep workers
-share the file's pages through the OS page cache instead of each
-holding a private decompressed copy.
-
-Format v1 (legacy).  Compressed ``.npz`` archives written by
-:func:`repro.func.trace.save_trace`.  A v1 entry found where no v2
-exists is **transparently rebuilt**: loaded once, rewritten as v2, and
-the v1 file deleted — counted as a hit (``v1_rebuilds`` tracks the
-migration).  A v1 file that fails to load is deleted and counted as a
-miss, exactly like any corrupt entry.
+beats a compressed archive twice over: loads are lazy (no zip inflate
+before the first record is touched), and parallel sweep workers share
+the file's pages through the OS page cache instead of each holding a
+private decompressed copy.  Archives of the retired compressed
+``.npz`` format are never read; eviction and :meth:`TraceCache.clear`
+still sweep them.
 
 Invalidation key.  The 16-hex fingerprint in the file name hashes every
 ``.py`` source file of the packages that determine trace content —
@@ -45,8 +40,9 @@ the mmap then reuses) — a mismatch means silent payload corruption
 (bit rot, torn write, chaos injection) that numpy would happily parse
 into wrong simulation results.  Mismatched entries are **quarantined**
 (moved to ``<root>/quarantine/`` for forensics) and counted as misses,
-so the next build rewrites them; entries predating the sidecar are
-verified-and-backfilled on first contact.  Set
+so the next build rewrites them; an entry without a sidecar (its
+store's best-effort sidecar write failed) is checksummed and the sidecar
+backfilled on first contact.  Set
 ``$REPRO_TRACE_CACHE_VERIFY=off`` to skip verification (factor-1.0
 traces pay one streamed read per process).
 
@@ -82,7 +78,6 @@ from repro.func.trace import (
     TraceIOError,
     TraceRecord,
     file_crc32,
-    load_trace,
     load_trace_array,
     save_trace_array,
 )
@@ -107,7 +102,8 @@ _OFF_VALUES = ("0", "off", "no", "false", "disabled")
 #: validation rejects anything outside either list).
 _ON_VALUES = ("1", "on", "yes", "true", "enabled")
 
-#: Glob patterns covering every cache generation (eviction, clear).
+#: Glob patterns for cache entries (eviction, clear); ``*.npz`` sweeps
+#: leftover archives of the retired v1 format.
 _ENTRY_PATTERNS = ("*.npz", "*.npy")
 #: Subdirectory where checksum-failed entries are parked for forensics.
 QUARANTINE_DIR = "quarantine"
@@ -150,13 +146,11 @@ class TraceCache:
     ``hits`` / ``misses`` / ``stores`` count disk lookups in this
     process; the experiment runner snapshots them around each experiment
     so cache behaviour is visible in its :class:`RunReport`.
-    ``mmap_loads`` counts v2 entries served straight off a memory map,
-    and ``v1_rebuilds`` counts legacy entries migrated to v2 on contact
-    — CI's warm-cache check asserts a warm sweep is all mmap loads and
-    zero rebuilds.  The health counters (``degraded`` stores,
-    ``checksum_failures``, ``quarantined`` entries, ``mmap_fallbacks``
-    served eagerly after an mmap failure) feed the runner's
-    ``runner.cache_*`` degradation metrics.
+    ``mmap_loads`` counts entries served straight off a memory map — CI's
+    warm-cache check asserts a warm sweep is all mmap loads.  The health
+    counters (``degraded`` stores, ``checksum_failures``, ``quarantined``
+    entries, ``mmap_fallbacks`` served eagerly after an mmap failure)
+    feed the runner's ``runner.cache_*`` degradation metrics.
     """
 
     def __init__(
@@ -177,7 +171,6 @@ class TraceCache:
         self.misses = 0
         self.stores = 0
         self.mmap_loads = 0
-        self.v1_rebuilds = 0
         self.degraded = 0
         self.checksum_failures = 0
         self.quarantined = 0
@@ -191,10 +184,6 @@ class TraceCache:
     def path_for(self, name: str, scale: int) -> pathlib.Path:
         """Current-format (v2) entry path."""
         return self.root / f"{name}-s{scale}-{trace_fingerprint()}.v2.npy"
-
-    def v1_path_for(self, name: str, scale: int) -> pathlib.Path:
-        """Legacy compressed-archive (v1) entry path."""
-        return self.root / f"{name}-s{scale}-{trace_fingerprint()}.npz"
 
     @staticmethod
     def sidecar_for(path: pathlib.Path) -> pathlib.Path:
@@ -244,8 +233,9 @@ class TraceCache:
     def _verify_entry(self, path: pathlib.Path) -> bool:
         """True when ``path`` is safe to load (checksum ok, or verify off).
 
-        Verified paths are memoized per process.  A missing sidecar marks
-        a legacy entry: it is checksummed and the sidecar backfilled.  A
+        Verified paths are memoized per process.  A missing sidecar (the
+        store's sidecar write failed) means the entry is checksummed and
+        the sidecar backfilled.  A
         mismatch (or malformed sidecar) quarantines the entry and returns
         False — the caller treats that as a miss and rebuilds.
         """
@@ -257,7 +247,7 @@ class TraceCache:
             fields = sidecar.read_text().split()
             want_crc, want_size = int(fields[0], 16), int(fields[1])
         except OSError:
-            sidecar = None  # legacy entry: backfill below
+            sidecar = None  # no sidecar yet: backfill below
         except (ValueError, IndexError):
             pass  # malformed sidecar: guaranteed mismatch → quarantine
         try:
@@ -292,8 +282,7 @@ class TraceCache:
         A disabled cache always misses.  A checksum-failed entry is
         quarantined and counted as a miss; an entry that maps but fails
         numpy validation falls back to an eager load, and only if that
-        fails too is it quarantined.  A legacy v1 entry is migrated to
-        v2 on contact and counted as a hit.  A filesystem fault here
+        fails too is it quarantined.  A filesystem fault here
         (injected or real) degrades to a miss — the trace is rebuilt.
         """
         if not self.enabled:
@@ -325,27 +314,6 @@ class TraceCache:
                 self.hits += 1
                 self.mmap_loads += 1
                 return prepare_trace(array, workload=name, source="mmap")
-        v1_path = self.v1_path_for(name, scale)
-        if v1_path.exists():
-            try:
-                records = load_trace(v1_path)
-            except TraceIOError:
-                try:
-                    v1_path.unlink()
-                except OSError:
-                    pass
-                self.misses += 1
-                return None
-            # Transparent migration: rewrite as v2, drop the archive.
-            prepared = prepare_trace(records, workload=name, source="v1")
-            self.store(name, scale, prepared)
-            try:
-                v1_path.unlink()
-            except OSError:
-                pass
-            self.hits += 1
-            self.v1_rebuilds += 1
-            return prepared
         self.misses += 1
         return None
 

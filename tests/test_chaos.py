@@ -206,15 +206,6 @@ class TestCacheIntegrity:
         assert reader.load("w", 4) is None
         assert reader.checksum_failures == 1
 
-    def test_stale_v1_never_shadows_v2(self, tmp_path):
-        cache = TraceCache(tmp_path)
-        original = _array(seed=9)
-        cache.store("w", 4, original)
-        v1 = chaos.plant_stale_v1(cache.path_for("w", 4))
-        assert v1 is not None and v1.exists()
-        loaded = TraceCache(tmp_path).load("w", 4)
-        assert np.array_equal(np.asarray(loaded.array), original)
-
     def test_legacy_entry_gets_sidecar_backfilled(self, tmp_path):
         cache = TraceCache(tmp_path)
         cache.store("w", 4, _array())
@@ -385,7 +376,7 @@ class TestDiskChaos:
             json.loads(manifest.read_text())
 
     def test_cold_cache_applies_nothing(self, tmp_path):
-        plan = ChaosPlan.parse("bitflip:*,truncate:*,stale-v1:*")
+        plan = ChaosPlan.parse("bitflip:*,truncate:*")
         assert plan.apply_disk(tmp_path / "absent", None) == []
 
 
@@ -668,14 +659,10 @@ class TestEnvValidation:
     def test_clean_environment_passes(self):
         validate_environment({})
 
-    def test_unknown_trace_path_named(self):
-        with pytest.raises(EnvValidationError, match="REPRO_TRACE_PATH"):
-            validate_environment({"REPRO_TRACE_PATH": "prepard"})
-
     def test_defaults_and_valid_values_pass(self):
         validate_environment(
             {
-                "REPRO_TRACE_PATH": "tuples",
+                "REPRO_SIM_KERNEL": "batched",
                 "REPRO_TRACE_CACHE": "off",
                 "REPRO_TRACE_CACHE_VERIFY": "1",
                 "REPRO_TRACE_CACHE_DIR": "/tmp/somewhere-new",
@@ -686,14 +673,14 @@ class TestEnvValidation:
         with pytest.raises(EnvValidationError) as caught:
             validate_environment(
                 {
-                    "REPRO_TRACE_PATH": "bogus",
+                    "REPRO_SIM_KERNEL": "bogus",
                     "REPRO_TRACE_CACHE": "maybe",
                     "REPRO_TRACE_CACHE_DIR": "  ",
                 }
             )
         message = str(caught.value)
         for name in (
-            "REPRO_TRACE_PATH",
+            "REPRO_SIM_KERNEL",
             "REPRO_TRACE_CACHE",
             "REPRO_TRACE_CACHE_DIR",
         ):
@@ -708,9 +695,9 @@ class TestEnvValidation:
     def test_run_all_cli_exits_usage_on_bad_env(self, monkeypatch, capsys):
         from repro.experiments.run_all import main as run_all_main
 
-        monkeypatch.setenv("REPRO_TRACE_PATH", "bogus")
+        monkeypatch.setenv("REPRO_SIM_KERNEL", "bogus")
         assert run_all_main(["--only", "fig1"]) == EXIT_USAGE
-        assert "REPRO_TRACE_PATH" in capsys.readouterr().err
+        assert "REPRO_SIM_KERNEL" in capsys.readouterr().err
 
     def test_aurora_cli_exits_usage_on_bad_env(self, monkeypatch, capsys):
         from repro.experiments.cli import main as cli_main

@@ -230,6 +230,25 @@ class TestPrepare:
         for (pc, kind, *_rest, addr), row in zip(records, rows):
             assert row[8] == pc >> 5 and row[9] == addr >> 5
 
+    #: Kinds that take the single memory port, spelled out here rather
+    #: than read from the trace module the prepared columns derive from.
+    MEM_KINDS = {Kind.LOAD, Kind.STORE, Kind.FP_LOAD, Kind.FP_STORE, Kind.FP_MOVE}
+
+    @pytest.mark.parametrize("kind", list(Kind))
+    @pytest.mark.parametrize("shift", [4, 5, 6])
+    def test_rows_flags_and_lines_per_kind(self, kind, shift):
+        """The loop's only input, checked field by field for one record
+        of each Kind: the kind-class flags and the line indices."""
+        pc = 0x12345 * 4 + 4 * int(kind)
+        addr = 0x9ABCDE + 37 * int(kind)
+        record = (pc, int(kind), 8, 9, -1, addr)
+        (row,) = prepare_trace([record]).rows(shift)
+        assert row[:6] == record
+        assert row[6] is (kind in self.MEM_KINDS)
+        assert row[7] is kind.is_fp
+        assert row[8] == pc >> shift
+        assert row[9] == addr >> shift
+
 
 # ------------------------------------------------------- registry wiring
 
@@ -237,21 +256,3 @@ class TestPrepare:
 class TestRegistryTracePath:
     def test_default_returns_prepared(self):
         assert isinstance(registry.get_trace("sc", 7), PreparedTrace)
-
-    def test_tuples_mode_returns_records(self, monkeypatch):
-        monkeypatch.setenv(registry.ENV_TRACE_PATH, "tuples")
-        registry.clear_trace_cache()
-        try:
-            trace = registry.get_trace("sc", 7)
-            assert isinstance(trace, list)
-            assert trace and isinstance(trace[0], tuple)
-            monkeypatch.delenv(registry.ENV_TRACE_PATH)
-            registry.clear_trace_cache()
-            assert registry.get_trace("sc", 7) == trace
-        finally:
-            registry.clear_trace_cache()
-
-    def test_invalid_mode_rejected(self, monkeypatch):
-        monkeypatch.setenv(registry.ENV_TRACE_PATH, "rows")
-        with pytest.raises(ValueError, match="REPRO_TRACE_PATH"):
-            registry.get_trace("sc", 7)

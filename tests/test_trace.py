@@ -1,5 +1,6 @@
 """Unit tests for trace infrastructure (stats, persistence, encodings)."""
 
+import numpy as np
 import pytest
 
 from repro.func.trace import (
@@ -9,8 +10,8 @@ from repro.func.trace import (
     compute_stats,
     is_fp_kind,
     is_memory_kind,
-    load_trace,
-    save_trace,
+    load_trace_array,
+    save_trace_array,
 )
 from repro.isa.instructions import Kind
 
@@ -76,15 +77,15 @@ class TestPersistence:
             rec(0x400000, Kind.ALU, dst=8, s1=9, s2=10),
             rec(0x400004, Kind.LOAD, dst=11, s1=29, addr=0x7FFFFF00),
         ]
-        path = str(tmp_path / "trace.npz")
-        save_trace(path, trace)
-        loaded = load_trace(path)
-        assert loaded == trace
+        path = str(tmp_path / "trace.npy")
+        save_trace_array(path, np.asarray(trace, dtype=np.int64))
+        loaded = load_trace_array(path)
+        assert [tuple(row) for row in loaded.tolist()] == trace
 
     def test_empty_roundtrip(self, tmp_path):
-        path = str(tmp_path / "empty.npz")
-        save_trace(path, [])
-        assert load_trace(path) == []
+        path = str(tmp_path / "empty.npy")
+        save_trace_array(path, np.zeros((0, 6), dtype=np.int64))
+        assert load_trace_array(path).tolist() == []
 
 
 class TestKindHelpers:

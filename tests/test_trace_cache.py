@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.func.trace import TraceIOError, save_trace
+from repro.func.trace import TraceIOError
 from repro.isa.instructions import Kind
 from repro.workloads import registry, trace_cache
 from repro.workloads.trace_cache import TraceCache, trace_fingerprint
@@ -101,30 +101,7 @@ class TestTraceCache:
 
 
 class TestCacheMigration:
-    """Format v1 -> v2 migration and v2 self-healing."""
-
-    def test_v1_entry_is_read_and_rebuilt_as_v2(self, tmp_path):
-        cache = TraceCache(tmp_path)
-        v1 = cache.v1_path_for("sc", 8)
-        v1.parent.mkdir(parents=True, exist_ok=True)
-        save_trace(str(v1), _trace())
-        loaded = cache.load("sc", 8)
-        assert loaded == _trace()  # served without error, counted a hit
-        assert cache.hits == 1 and cache.v1_rebuilds == 1
-        assert not v1.exists()  # archive replaced by ...
-        assert cache.path_for("sc", 8).exists()  # ... a v2 entry
-        # The rebuilt entry round-trips through the mmap path.
-        assert cache.load("sc", 8) == _trace()
-        assert cache.mmap_loads == 1
-
-    def test_corrupt_v1_entry_is_dropped(self, tmp_path):
-        cache = TraceCache(tmp_path)
-        v1 = cache.v1_path_for("sc", 8)
-        v1.parent.mkdir(parents=True, exist_ok=True)
-        v1.write_bytes(b"not an archive")
-        assert cache.load("sc", 8) is None
-        assert not v1.exists()
-        assert cache.misses == 1 and cache.v1_rebuilds == 0
+    """v2 self-healing and the kill switch."""
 
     def test_truncated_v2_self_heals(self, tmp_path):
         cache = TraceCache(tmp_path)
@@ -137,21 +114,16 @@ class TestCacheMigration:
         cache.store("sc", 8, _trace(200))  # next store rewrites it
         assert cache.load("sc", 8) == _trace(200)
 
-    def test_v2_preferred_over_stale_v1(self, tmp_path):
-        cache = TraceCache(tmp_path)
-        v1 = cache.v1_path_for("sc", 8)
-        v1.parent.mkdir(parents=True, exist_ok=True)
-        save_trace(str(v1), _trace(10))
-        cache.store("sc", 8, _trace(20))
-        assert len(cache.load("sc", 8)) == 20  # v2 wins
-        assert cache.v1_rebuilds == 0
-
     def test_env_switch_bypasses_both_formats(self, tmp_path, monkeypatch):
-        # Populate entries in both formats, then flip the kill switch:
-        # neither may be consulted.
+        # A v2 entry plus a leftover archive of the retired v1 format
+        # (which only eviction and clear() ever touch); flip the kill
+        # switch: neither may be consulted or touched.
+        import numpy as np
+
         cache = TraceCache(tmp_path)
         cache.store("sc", 8, _trace())
-        save_trace(str(cache.v1_path_for("li", 8)), _trace())
+        leftover = tmp_path / f"li-s8-{trace_fingerprint()}.npz"
+        np.savez_compressed(leftover, trace=np.asarray(_trace()))
         monkeypatch.setenv(trace_cache.ENV_SWITCH, "0")
         monkeypatch.setenv(trace_cache.ENV_DIR, str(tmp_path))
         monkeypatch.setattr(trace_cache, "_default", None)
@@ -159,7 +131,8 @@ class TestCacheMigration:
         assert not disabled.enabled
         assert disabled.load("sc", 8) is None
         assert disabled.load("li", 8) is None
-        assert disabled.v1_path_for("li", 8).exists()  # untouched
+        assert disabled.path_for("sc", 8).exists()  # untouched
+        assert leftover.exists()
 
 
 class TestDefaultCache:
@@ -223,63 +196,32 @@ class TestRegistryDiskTier:
 
 class TestTraceIOValidation:
     def test_unreadable_archive_raises(self, tmp_path):
-        from repro.func.trace import load_trace
+        from repro.func.trace import load_trace_array
 
-        bad = tmp_path / "bad.npz"
+        bad = tmp_path / "bad.npy"
         bad.write_bytes(b"\x00\x01\x02")
         with pytest.raises(TraceIOError, match="unreadable"):
-            load_trace(bad)
-
-    def test_missing_trace_array_raises(self, tmp_path):
-        import numpy as np
-
-        from repro.func.trace import load_trace
-
-        path = tmp_path / "empty.npz"
-        np.savez_compressed(path, other=np.zeros(3))
-        with pytest.raises(TraceIOError, match="no 'trace' array"):
-            load_trace(path)
-
-    def test_version_mismatch_raises(self, tmp_path):
-        import numpy as np
-
-        from repro.func.trace import load_trace
-
-        path = tmp_path / "vers.npz"
-        np.savez_compressed(
-            path,
-            trace=np.zeros((2, 6), dtype=np.int64),
-            version=np.int64(999),
-        )
-        with pytest.raises(TraceIOError, match="version 999"):
-            load_trace(path)
+            load_trace_array(bad)
 
     def test_wrong_shape_raises(self, tmp_path):
         import numpy as np
 
-        from repro.func.trace import load_trace
+        from repro.func.trace import load_trace_array
 
-        path = tmp_path / "shape.npz"
-        np.savez_compressed(path, trace=np.zeros((4, 5), dtype=np.int64))
+        path = tmp_path / "shape.npy"
+        np.save(path, np.zeros((4, 5), dtype=np.int64))
         with pytest.raises(TraceIOError, match="shape"):
-            load_trace(path)
+            load_trace_array(path)
 
     def test_non_integral_dtype_raises(self, tmp_path):
         import numpy as np
 
-        from repro.func.trace import load_trace
+        from repro.func.trace import load_trace_array
 
-        path = tmp_path / "dtype.npz"
-        np.savez_compressed(path, trace=np.zeros((4, 6)))
+        path = tmp_path / "dtype.npy"
+        np.save(path, np.zeros((4, 6)))
         with pytest.raises(TraceIOError, match="dtype"):
-            load_trace(path)
+            load_trace_array(path)
 
     def test_trace_io_error_is_value_error(self):
         assert issubclass(TraceIOError, ValueError)
-
-    def test_versioned_roundtrip(self, tmp_path):
-        from repro.func.trace import load_trace
-
-        path = tmp_path / "t.npz"
-        save_trace(str(path), _trace())
-        assert load_trace(path) == _trace()
