@@ -13,14 +13,17 @@ operationalised as four in-repo checks on the same workload/config:
    ratio below catches the regression instead.
 2. **Purity** — the off-run's SimStats must be identical to an
    instrumented run's (probes must never perturb timing).
-3. **Silence** — a sink-less bus must record zero events.
+3. **Silence** — a sink-less bus must record zero events, and a bus
+   whose only sink subscribes to the occupancy kinds (MSHR and write
+   cache, what the explorer's anchors record) must emit no other kind.
 4. **Disabled logging** — with no log destination configured, a
    ``StructLogger`` call must be one module-global ``None`` check:
    bounded at 2µs/call (≥10x headroom over the real cost) so a
    regression that builds payloads before the check trips the gate.
 
-The on-vs-off ratio is also printed (not gated: capturing ~80k events
-per 40k instructions legitimately costs real time).
+The full-capture and occupancy-only ratios to the off-run are also
+printed (not gated: capturing ~80k events per 40k instructions
+legitimately costs real time).
 """
 
 from __future__ import annotations
@@ -28,8 +31,8 @@ from __future__ import annotations
 import time
 
 from repro.core.config import BASELINE
-from repro.core.processor import simulate_trace
-from repro.telemetry import EventBus, RingBufferSink
+from repro.core.processor import PROBE_KINDS, simulate_trace
+from repro.telemetry import EventBus, EventKind, RingBufferSink
 from repro.telemetry import logging as structlog
 
 WORKLOAD = "compress"
@@ -38,6 +41,19 @@ OVERHEAD_LIMIT = 1.05
 #: Per-call budget for a StructLogger call with no destination configured.
 LOG_CALL_LIMIT = 2e-6
 ROUNDS = 5
+OCCUPANCY_KINDS = PROBE_KINDS["mshr"] | PROBE_KINDS["writecache"]
+
+
+class _KindCountingBus(EventBus):
+    """Counts every kind that reaches ``emit``, delivered or not."""
+
+    def __init__(self, *sinks) -> None:
+        super().__init__(*sinks)
+        self.emitted: set[EventKind] = set()
+
+    def emit(self, cycle, source, kind, **fields) -> None:
+        self.emitted.add(kind)
+        super().emit(cycle, source, kind, **fields)
 
 
 def _time_run(trace, telemetry=None) -> tuple[float, object]:
@@ -74,11 +90,21 @@ def test_probes_off_within_5_percent(benchmark, factor):
     )
     on_result = simulate_trace(trace, BASELINE, telemetry=bus)
 
+    occupancy = []
+    for _ in range(ROUNDS):
+        occ_ring = RingBufferSink(kinds=OCCUPANCY_KINDS)
+        wall, occ_result = _time_run(trace, telemetry=EventBus(occ_ring))
+        occupancy.append(wall)
+    t_occ = min(occupancy)
+
     print()
     print(
         f"{WORKLOAD}@{factor}: off {t_off * 1e3:.1f}ms "
         f"(ref {t_ref * 1e3:.1f}ms, ratio {t_off / t_ref:.3f}), "
-        f"on {t_on:.3f}s ({ring.recorded:,} events)"
+        f"on {t_on:.3f}s ({ring.recorded:,} events, "
+        f"ratio {t_on / t_off:.2f}), "
+        f"occupancy-only {t_occ * 1e3:.1f}ms ({occ_ring.recorded:,} events, "
+        f"ratio {t_occ / t_off:.2f})"
     )
 
     # 1. Cost: probes-off within 5% of the no-probes reference.
@@ -87,13 +113,20 @@ def test_probes_off_within_5_percent(benchmark, factor):
         f"{OVERHEAD_LIMIT:.2f}x the reference {t_ref * 1e3:.1f}ms"
     )
     # 2. Purity: probes never perturb the simulated machine.
-    assert off_result.stats == on_result.stats
-    # 3. Silence: a disabled bus sees nothing.
+    assert off_result.stats == on_result.stats == occ_result.stats
+    # 3. Silence: a disabled bus sees nothing, and an occupancy-only bus
+    # is handed no unsubscribed kind.
     silent = EventBus()
     simulate_trace(trace, BASELINE, telemetry=silent)
     probe = RingBufferSink()
     silent.attach(probe)
     assert probe.recorded == 0
+    counting = _KindCountingBus(RingBufferSink(kinds=OCCUPANCY_KINDS))
+    simulate_trace(trace, BASELINE, telemetry=counting)
+    assert counting.emitted == OCCUPANCY_KINDS, (
+        f"occupancy-only run emitted unsubscribed kinds: "
+        f"{sorted(k.value for k in counting.emitted - OCCUPANCY_KINDS)}"
+    )
 
     # 4. Disabled structured logging is one None check per call.
     structlog.shutdown()

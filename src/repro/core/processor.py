@@ -77,6 +77,24 @@ _S_PAIRING = _STALL_KINDS.index(StallKind.PAIRING)
 _S_FPU = _STALL_KINDS.index(StallKind.FPU)
 
 
+#: The event kinds each probe owner emits: the timing loop's own four
+#: probe sites ("loop") and the five instrumented structures.  The run
+#: attaches a bus only where it has a subscriber (EventBus.kinds).
+PROBE_KINDS = {
+    "loop": frozenset((
+        EventKind.FETCH_STALL, EventKind.STALL,
+        EventKind.REDIRECT, EventKind.RETIRE,
+    )),
+    "biu": frozenset((EventKind.BIU_TXN,)),
+    "mshr": frozenset((EventKind.MSHR_ALLOC, EventKind.MSHR_RELEASE)),
+    "prefetch": frozenset((EventKind.PREFETCH_HIT, EventKind.PREFETCH_MISS)),
+    "writecache": frozenset((EventKind.WC_STORE, EventKind.WC_EVICT)),
+    "fpu": frozenset((
+        EventKind.FPQ_ENQUEUE, EventKind.FPQ_ISSUE, EventKind.FPQ_DEQUEUE,
+    )),
+}
+
+
 def _flush_stalls(counts: list[int], target: dict) -> None:
     """Copy position-indexed stall counts into a StallKind-keyed dict."""
     for kind, count in zip(_STALL_KINDS, counts):
@@ -112,11 +130,12 @@ class AuroraProcessor:
     guard enabled with bounds no legitimate run reaches.
 
     ``telemetry`` optionally attaches an
-    :class:`~repro.telemetry.events.EventBus`: every structure then emits
-    cycle-stamped events at its stall/allocate/drain decision points (see
+    :class:`~repro.telemetry.events.EventBus`: every structure emitting a
+    subscribed kind (:data:`PROBE_KINDS`) then emits cycle-stamped events
+    at its stall/allocate/drain decision points (see
     docs/OBSERVABILITY.md).  ``None`` — or a bus with no sinks — keeps
     the default path: each probe site costs one falsy check and nothing
-    is recorded.
+    is recorded; so does every probe whose kinds no sink subscribes to.
     """
 
     def __init__(
@@ -179,16 +198,21 @@ class AuroraProcessor:
         )
         fpu = DecoupledFPU(cfg.fpu)
 
-        # Telemetry: normalise a sink-less bus to None so every probe
-        # site below is a single ``is not None`` test, and attach the
-        # live bus to each structure's own probe points.
+        # Telemetry: attach the bus to each structure that emits a kind
+        # some sink subscribes to, and leave the loop's own probe sites
+        # at None (a single ``is not None`` test) unless one of their
+        # kinds is wanted.  A sink-less bus wants nothing.
         tele = self.telemetry if self.telemetry else None
         if tele is not None:
-            biu.telemetry = tele
-            mshr.telemetry = tele
-            pool.telemetry = tele
-            writecache.telemetry = tele
-            fpu.telemetry = tele
+            wanted = tele.kinds
+            for name, structure in (
+                ("biu", biu), ("mshr", mshr), ("prefetch", pool),
+                ("writecache", writecache), ("fpu", fpu),
+            ):
+                if wanted & PROBE_KINDS[name]:
+                    structure.telemetry = tele
+            if not wanted & PROBE_KINDS["loop"]:
+                tele = None
 
         watchdog: Watchdog | None = None
         if self.policy.enabled:

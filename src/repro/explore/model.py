@@ -7,10 +7,12 @@ memory latency — moves those components in ways a handful of anchor
 simulations can calibrate:
 
 * **Family anchors** — one simulated ``std`` dual-issue point per
-  I-cache family (the Table 1 models at 17-cycle latency), run with
-  telemetry on so its stall breakdown *and* structure-occupancy
-  histograms (:func:`repro.telemetry.analysis.occupancy_summaries`) are
-  known.  A family anchor contributes the starting per-kind stall
+  I-cache family (the Table 1 models at 17-cycle latency), run with a
+  sink subscribed to the MSHR and write-cache events only, so its stall
+  breakdown *and* those structures' occupancy histograms
+  (:func:`repro.telemetry.analysis.mshr_occupancy`,
+  :func:`~repro.telemetry.analysis.writecache_occupancy`) are known.
+  A family anchor contributes the starting per-kind stall
   decomposition for every candidate in its family.
 * **Axis response curves** — the calibration family (baseline/2K) is
   probed at every swept value of each axis in one grouped
@@ -46,8 +48,8 @@ from repro.core.kernel import simulate_many
 from repro.core.processor import simulate_trace
 from repro.core.stats import SimStats, StallKind
 from repro.telemetry import tracing
-from repro.telemetry.analysis import occupancy_summaries
-from repro.telemetry.events import EventBus, RingBufferSink
+from repro.telemetry.analysis import mshr_occupancy, writecache_occupancy
+from repro.telemetry.events import EventBus, EventKind, RingBufferSink
 
 #: The decomposition key for non-stall (issue/execute) cycles.
 BASE = "base"
@@ -183,7 +185,7 @@ class ModelReport:
 
 @dataclass(frozen=True)
 class _Anchor:
-    """One telemetry-on family anchor and its calibration inputs."""
+    """One occupancy-instrumented family anchor and its calibration inputs."""
 
     config: MachineConfig
     stats: SimStats
@@ -209,6 +211,12 @@ _CALIBRATION_MODEL = BASELINE
 _ANCHOR_MODELS = {1024: SMALL, 2048: BASELINE, 4096: LARGE}
 _ANCHOR_LATENCY = 17
 _LATENCY_PROBE = 21
+#: The only events an anchor run records: the MSHR and write-cache
+#: occupancy sweeps' enters and exits (every other probe stays off).
+_ANCHOR_KINDS = frozenset((
+    EventKind.MSHR_ALLOC, EventKind.MSHR_RELEASE,
+    EventKind.WC_STORE, EventKind.WC_EVICT,
+))
 
 
 @dataclass
@@ -232,9 +240,10 @@ class CPIEstimator:
     def calibrate(cls, trace, *, kernel: str | None = None) -> "CPIEstimator":
         """Run the anchor + probe simulations and fit the model.
 
-        Three scalar telemetry runs (one ``std`` dual point per I-cache
-        family; the batched kernel refuses telemetry by design) plus one
-        grouped ``simulate_many`` of nine probes: the calibration
+        Three scalar runs recording MSHR and write-cache events (one
+        ``std`` dual point per I-cache family; the batched kernel
+        refuses telemetry by design) plus one grouped
+        ``simulate_many`` of nine probes: the calibration
         family's axis sweeps, its no-prefetch and 21-cycle-latency
         variants, and the small/single issue-width anchor.  Twelve
         simulations total, all of them members of the Figure 8 grid.
@@ -246,9 +255,8 @@ class CPIEstimator:
         ):
             for icache, model in sorted(_ANCHOR_MODELS.items()):
                 config = model.dual_issue().with_latency(_ANCHOR_LATENCY)
-                bus = EventBus()
-                ring = RingBufferSink(capacity=None)
-                bus.attach(ring)
+                ring = RingBufferSink(kinds=_ANCHOR_KINDS)
+                bus = EventBus(ring)
                 try:
                     stats = simulate_trace(trace, config, telemetry=bus).stats
                 finally:
@@ -308,17 +316,17 @@ class CPIEstimator:
     def _build_anchor(
         config: MachineConfig, stats: SimStats, events
     ) -> _Anchor:
-        occupancy = occupancy_summaries(events)
         instructions = stats.instructions or 1
         return _Anchor(
             config=config,
             stats=stats,
             decomp=_decompose(stats),
             mshr_utilization=(
-                occupancy["mshr"].time_weighted_mean / config.mshr_entries
+                mshr_occupancy(events).time_weighted_mean
+                / config.mshr_entries
             ),
             writecache_utilization=(
-                occupancy["writecache"].time_weighted_mean
+                writecache_occupancy(events).time_weighted_mean
                 / config.writecache_lines
             ),
             prefetch_coverage=(
