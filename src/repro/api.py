@@ -31,13 +31,9 @@ from repro.core.config import (  # noqa: F401
     small_model,
 )
 from repro.core.kernel import (  # noqa: F401
-    ENV_KERNEL,
-    KERNEL_NAMES,
     BatchedKernel,
     KernelError,
     ScalarKernel,
-    get_kernel,
-    kernel_mode,
     simulate_many,
 )
 from repro.core.processor import (  # noqa: F401
@@ -132,15 +128,13 @@ def suite_results(
     config: MachineConfig,
     suite: str = "int",
     scale: int | None = None,
-    kernel: str | None = None,
 ) -> dict[str, SimulationResult]:
     """Run a whole suite ("int" or "fp") on one configuration.
 
     Raises :class:`ValueError` for any other suite name — a typo used to
-    silently run the FP suite.  ``kernel`` overrides the
-    ``REPRO_SIM_KERNEL`` selection (``"scalar"`` | ``"batched"``).
+    silently run the FP suite.
     """
-    sweep = sweep_results([config], suite=suite, scale=scale, kernel=kernel)
+    sweep = sweep_results([config], suite=suite, scale=scale)
     return sweep[0]
 
 
@@ -148,13 +142,12 @@ def sweep_results(
     configs: list[MachineConfig],
     suite: str = "int",
     scale: int | None = None,
-    kernel: str | None = None,
 ) -> list[dict[str, SimulationResult]]:
     """Run a whole suite on many configurations, one trace pass each.
 
     The grouped twin of :func:`suite_results`: every workload's trace is
-    walked once through :func:`repro.core.kernel.simulate_many` (so the
-    batched kernel advances all configs together) and the return value is
+    walked once through :func:`repro.core.kernel.simulate_many` (so a
+    wide enough batch runs on the batched kernel) and the return value is
     a per-config list of ``{workload: SimulationResult}`` mappings,
     index-aligned with ``configs``.
     """
@@ -173,7 +166,7 @@ def sweep_results(
     for name in names:
         trace = get_trace(name, scale)
         for per_config, result in zip(
-            sweep, simulate_many(trace, configs, kernel=kernel)
+            sweep, simulate_many(trace, configs)
         ):
             per_config[name] = result
     return sweep

@@ -27,26 +27,25 @@ Both kernels read only :meth:`PreparedTrace.rows
 prepared once on entry (:func:`~repro.func.prepared.prepare_trace` is
 idempotent, so prepared sweep traces pass through untouched).
 
-Kernel selection: ``REPRO_SIM_KERNEL`` (``scalar`` | ``batched``,
-validated eagerly by :func:`repro.robustness.validation
-.validate_environment`) or the ``--kernel`` flag on ``aurora-sim
-experiments`` / ``run_all`` / ``perf``.  :func:`simulate_many` is the
-grouped entry point the sweep layer calls: it validates the trace once
-(not once per config), records a ``simulate_batch`` span, and dispatches
-to the selected kernel.
+Kernel selection is made by the system, not by the caller:
+:func:`simulate_many` (the grouped entry point the sweep layer calls)
+runs the batched kernel when the batch is at least
+:data:`BATCH_MIN_WIDTH` configs wide and no telemetry bus is active, and
+the scalar kernel otherwise.  It validates the trace once (not once per
+config) and records a ``simulate_batch`` span naming the kernel it ran.
 
 The batched kernel does **not** emit per-structure telemetry events (the
-event streams would interleave across configs); passing an active
-:class:`~repro.telemetry.events.EventBus` raises a :class:`KernelError`
-naming the ``telemetry`` field instead of silently dropping events.
-State layout and when batching wins are documented in
-docs/PERFORMANCE.md.
+event streams would interleave across configs), so an active
+:class:`~repro.telemetry.events.EventBus` always selects the scalar
+kernel; handing one to :class:`BatchedKernel` directly raises a
+:class:`KernelError` naming the ``telemetry`` field instead of silently
+dropping events.  State layout and the width measurements behind
+:data:`BATCH_MIN_WIDTH` are documented in docs/PERFORMANCE.md.
 """
 
 from __future__ import annotations
 
-import os
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -77,10 +76,12 @@ from repro.core.stats import SimStats, StallKind
 from repro.core.writecache import WriteCache
 from repro.func.prepared import prepare_trace
 
-#: Environment switch naming the kernel the sweep layer should use.
-ENV_KERNEL = "REPRO_SIM_KERNEL"
-#: Valid kernel names, in (default, alternative) order.
-KERNEL_NAMES = ("scalar", "batched")
+#: Narrowest batch :func:`simulate_many` runs on the batched kernel: the
+#: smallest measured width at which batched beats scalar on both espresso
+#: and doduc at factor 0.05 (benchmarks/test_bench_kernel_selection.py
+#: prints the table).  Narrower batches pay the batched kernel's fixed
+#: per-record numpy overhead without enough configs to amortize it.
+BATCH_MIN_WIDTH = 29
 
 #: Stall kinds in enum order: row index into the batched stall matrix.
 _STALL_KINDS = tuple(StallKind)
@@ -108,38 +109,13 @@ def batch_snapshot() -> tuple[int, int]:
 
 
 class KernelError(ValueError):
-    """A kernel selection or kernel argument is unusable; names the field."""
-
-
-def kernel_mode(environ: Mapping[str, str] | None = None) -> str:
-    """The kernel named by ``REPRO_SIM_KERNEL`` (default ``scalar``).
-
-    Raises :class:`KernelError` naming the variable for any other value;
-    :func:`repro.robustness.validation.validate_environment` calls this
-    at CLI startup.
-    """
-    env = os.environ if environ is None else environ
-    value = env.get(ENV_KERNEL, "")
-    if not value:
-        return KERNEL_NAMES[0]
-    lowered = value.lower()
-    if lowered not in KERNEL_NAMES:
-        raise KernelError(
-            f"{ENV_KERNEL}={value!r}: expected "
-            + " or ".join(repr(name) for name in KERNEL_NAMES)
-        )
-    return lowered
+    """A kernel name or kernel argument is unusable; names the field."""
 
 
 class ScalarKernel:
     """The oracle kernel: one :class:`AuroraProcessor` run per config."""
 
     name = "scalar"
-
-    def simulate(
-        self, trace, config: MachineConfig, *, policy=None, telemetry=None
-    ) -> SimulationResult:
-        return AuroraProcessor(config, policy, telemetry=telemetry).run(trace)
 
     def simulate_many(
         self,
@@ -161,13 +137,6 @@ class BatchedKernel:
 
     name = "batched"
 
-    def simulate(
-        self, trace, config: MachineConfig, *, policy=None, telemetry=None
-    ) -> SimulationResult:
-        return self.simulate_many(
-            trace, [config], policy=policy, telemetry=telemetry
-        )[0]
-
     def simulate_many(
         self,
         trace,
@@ -182,9 +151,8 @@ class BatchedKernel:
         if telemetry:
             raise KernelError(
                 "telemetry: the batched kernel does not emit per-structure "
-                "events (streams would interleave across configs); run with "
-                "kernel='scalar' (REPRO_SIM_KERNEL=scalar / --kernel scalar) "
-                "to capture telemetry"
+                "events (streams would interleave across configs); "
+                "simulate_many runs telemetry captures on the scalar kernel"
             )
         configs = list(configs)
         for config in configs:
@@ -211,29 +179,14 @@ class BatchedKernel:
         return results  # type: ignore[return-value]
 
 
-_SCALAR_KERNEL = ScalarKernel()
-_BATCHED_KERNEL = BatchedKernel()
-_KERNELS = {"scalar": _SCALAR_KERNEL, "batched": _BATCHED_KERNEL}
-
-
-def get_kernel(name: str | None = None):
-    """Resolve a kernel by name (``None`` → ``REPRO_SIM_KERNEL``)."""
-    if name is None:
-        name = kernel_mode()
-    kernel = _KERNELS.get(str(name).lower())
-    if kernel is None:
-        raise KernelError(
-            f"kernel: unknown kernel {name!r}; expected "
-            + " or ".join(repr(known) for known in KERNEL_NAMES)
-        )
-    return kernel
+_KERNELS = {kernel.name: kernel for kernel in (ScalarKernel(), BatchedKernel())}
 
 
 def simulate_many(
     trace,
     configs: Sequence[MachineConfig],
     *,
-    kernel: "str | ScalarKernel | BatchedKernel | None" = None,
+    kernel: str | None = None,
     policy=None,
     telemetry=None,
 ) -> list[SimulationResult]:
@@ -243,21 +196,31 @@ def simulate_many(
     validates the trace **once** (not once per configuration — the
     prepared-trace memo makes re-validation free, and plain record lists
     skip n-1 redundant sampled passes), records a ``simulate_batch``
-    span, and dispatches to ``kernel`` (a kernel object, a name, or
-    ``None`` for the ``REPRO_SIM_KERNEL`` selection).  Every kernel
-    yields byte-identical per-config :class:`~repro.core.stats.SimStats`
-    — the scalar kernel is the oracle the batched one is tested against.
+    span, and runs the batched kernel when ``len(configs) >=``
+    :data:`BATCH_MIN_WIDTH` and ``telemetry`` is not an active bus, the
+    scalar kernel otherwise.  Both kernels yield byte-identical
+    per-config :class:`~repro.core.stats.SimStats`; ``kernel``
+    (``"scalar"`` | ``"batched"``) overrides the pick so tests can
+    compare them.
     """
     from repro.robustness.validation import validate_trace
     from repro.telemetry import tracing
 
-    if isinstance(kernel, (str, type(None))):
-        kernel = get_kernel(kernel)
-    validate_trace(trace)
     configs = list(configs)
+    if kernel is None:
+        # A sink-less EventBus is falsy and means "telemetry off".
+        wide = len(configs) >= BATCH_MIN_WIDTH
+        kernel = "batched" if wide and not telemetry else "scalar"
+    runner = _KERNELS.get(kernel)
+    if runner is None:
+        raise KernelError(
+            f"kernel: unknown kernel {kernel!r}; expected "
+            + " or ".join(repr(known) for known in _KERNELS)
+        )
+    validate_trace(trace)
     tracer = tracing.current_tracer()
     if tracer is None:
-        return kernel.simulate_many(
+        return runner.simulate_many(
             trace, configs, policy=policy, telemetry=telemetry
         )
     with tracer.span(
@@ -265,9 +228,9 @@ def simulate_many(
         "simulate",
         records=len(trace),
         configs=len(configs),
-        kernel=kernel.name,
+        kernel=runner.name,
     ):
-        return kernel.simulate_many(
+        return runner.simulate_many(
             trace, configs, policy=policy, telemetry=telemetry
         )
 

@@ -68,23 +68,21 @@ def sweep_suite_stats(
     configs: list[MachineConfig],
     suite: str = "int",
     factor: float = 1.0,
-    kernel: str | None = None,
 ) -> list[dict[str, SimStats]]:
     """Run every workload in a suite on every config; one trace pass each.
 
     The workhorse of the multi-config figure drivers: each workload's
     trace is walked once through :func:`repro.core.kernel.simulate_many`
-    (so the batched kernel can advance all configs together), and the
-    result is a per-config list of ``{workload: SimStats}`` mappings,
-    index-aligned with ``configs``.  ``kernel`` overrides the
-    ``REPRO_SIM_KERNEL`` selection for this sweep.
+    (so a wide enough batch runs on the batched kernel), and the result
+    is a per-config list of ``{workload: SimStats}`` mappings,
+    index-aligned with ``configs``.
     """
     names = suite_names(suite)
     results: list[dict[str, SimStats]] = [{} for _ in configs]
     for name in names:
         trace = scaled_trace(name, factor)
         for stats_map, result in zip(
-            results, simulate_many(trace, configs, kernel=kernel)
+            results, simulate_many(trace, configs)
         ):
             stats_map[name] = result.stats
     return results

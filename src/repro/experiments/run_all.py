@@ -7,7 +7,6 @@ Usage::
                                         [--retries 2] [--no-resume]
                                         [--manifest path.json]
                                         [--jobs 4] [--no-trace-cache]
-                                        [--kernel scalar|batched]
                                         [--chaos SPEC] [--chaos-seed N]
 
 ``--factor`` shrinks every workload to that fraction of its default size
@@ -40,7 +39,6 @@ import signal
 import sys
 from dataclasses import dataclass
 
-from repro.core.kernel import ENV_KERNEL, KERNEL_NAMES, get_kernel
 from repro.experiments.exit_codes import (
     EXIT_INTERRUPTED,
     EXIT_USAGE,
@@ -109,7 +107,6 @@ def run_resilient(
     trace_out: str | None = None,
     chaos: str | None = None,
     chaos_seed: int = 0,
-    kernel: str | None = None,
 ) -> tuple[dict[str, object], RunReport]:
     """Run the selected experiments; returns ``(results, report)``.
 
@@ -134,10 +131,6 @@ def run_resilient(
     plan.  Mutually exclusive with an explicit ``fault_plan``.
     """
     validate_factor(factor, where="--factor")
-    if kernel is not None:
-        # Published via the environment so spawn-start pool workers (which
-        # re-import everything) pick the same kernel as the parent.
-        os.environ[ENV_KERNEL] = get_kernel(kernel).name
     if not use_trace_cache:
         trace_cache.set_enabled(False)
     effective_stream = stream if stream is not None else sys.stdout
@@ -287,14 +280,6 @@ def main(argv: list[str] | None = None) -> int:
         help="disable the persistent on-disk trace cache",
     )
     parser.add_argument(
-        "--kernel",
-        default=None,
-        choices=KERNEL_NAMES,
-        help="simulation kernel: 'scalar' (one trace walk per config) or "
-             "'batched' (one walk for all configs of a sweep); default "
-             "follows REPRO_SIM_KERNEL",
-    )
-    parser.add_argument(
         "--no-resume",
         action="store_true",
         help="ignore the checkpoint manifest and re-run everything",
@@ -352,7 +337,6 @@ def main(argv: list[str] | None = None) -> int:
             trace_out=args.trace,
             chaos=args.chaos,
             chaos_seed=args.chaos_seed,
-            kernel=args.kernel,
         )
     except ChaosError as error:
         print(f"error: --chaos: {error}", file=sys.stderr)

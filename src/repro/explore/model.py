@@ -237,12 +237,12 @@ class CPIEstimator:
     # ------------------------------------------------------------ calibrate
 
     @classmethod
-    def calibrate(cls, trace, *, kernel: str | None = None) -> "CPIEstimator":
+    def calibrate(cls, trace) -> "CPIEstimator":
         """Run the anchor + probe simulations and fit the model.
 
         Three scalar runs recording MSHR and write-cache events (one
-        ``std`` dual point per I-cache family; the batched kernel
-        refuses telemetry by design) plus one grouped
+        ``std`` dual point per I-cache family; telemetry runs on the
+        scalar kernel) plus one grouped
         ``simulate_many`` of nine probes: the calibration
         family's axis sweeps, its no-prefetch and 21-cycle-latency
         variants, and the small/single issue-width anchor.  Twelve
@@ -280,7 +280,7 @@ class CPIEstimator:
                 SMALL.single_issue().with_latency(_ANCHOR_LATENCY)
             )
             for config, result in zip(
-                probes, simulate_many(trace, probes, kernel=kernel)
+                probes, simulate_many(trace, probes)
             ):
                 calibration_stats[config] = result.stats
 

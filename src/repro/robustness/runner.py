@@ -86,7 +86,7 @@ from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from typing import Callable, Mapping
 
-from repro.core.kernel import batch_snapshot, kernel_mode
+from repro.core.kernel import batch_snapshot
 from repro.func.prepared import prepare_snapshot
 from repro.robustness.faults import FaultPlan, TransientFault, _CorruptResult
 from repro.robustness.signals import GracefulSignals
@@ -151,8 +151,8 @@ class ExperimentOutcome:
     cache_degraded: int = 0
     cache_checksum_failures: int = 0
     #: Batched-kernel usage attributed to this experiment: grouped
-    #: simulate_many calls and the configs they advanced (zero under the
-    #: scalar kernel).
+    #: simulate_many calls and the configs they advanced (zero when
+    #: every batch was narrower than BATCH_MIN_WIDTH).
     batched_calls: int = 0
     batched_configs: int = 0
 
@@ -679,7 +679,7 @@ class ResilientRunner:
             per_exp.gauge("runner.ok").set(1.0 if outcome.succeeded else 0.0)
             stats = getattr(result, "stats", None)
             if stats is not None and hasattr(stats, "stall_cycles"):
-                publish_stats(stats, per_exp, kernel=kernel_mode())
+                publish_stats(stats, per_exp)
             per_exp.write_json(out_path / "metrics" / f"{exp_id}.json")
 
         def finish(exp_id, outcome, text, result):

@@ -26,7 +26,7 @@ garbage-in paths the experiment layer feeds the simulator:
   ``scaled_trace``.
 * **Environment** — :func:`validate_environment` eagerly checks every
   ``REPRO_*`` switch the sweep stack reads, so a typo like
-  ``REPRO_SIM_KERNEL=batchd`` fails at CLI startup with a field-named
+  ``REPRO_LOG_LEVEL=verbose`` fails at CLI startup with a field-named
   usage error instead of mid-sweep (or worse, silently falling back).
 """
 
@@ -188,14 +188,13 @@ def validate_environment(environ: Mapping[str, str] | None = None) -> None:
     """Eagerly validate the ``REPRO_*`` switches the sweep stack reads.
 
     Checked: ``REPRO_TRACE_MEMO_MAX`` (in-memory trace-memo bound),
-    ``REPRO_SIM_KERNEL`` (simulation kernel), ``REPRO_TRACE_CACHE`` /
+    ``REPRO_TRACE_CACHE`` /
     ``REPRO_TRACE_CACHE_VERIFY`` (on/off switches),
     ``REPRO_TRACE_CACHE_DIR`` (must not name an existing
     non-directory), ``REPRO_LOG`` (a writable destination, not a
     directory) and ``REPRO_LOG_LEVEL`` (a known level name).  Unset or
     empty variables are always fine — they mean "use the default".
     """
-    from repro.core.kernel import KernelError, kernel_mode
     from repro.telemetry import logging as structlog
     from repro.workloads import registry, trace_cache
 
@@ -205,11 +204,6 @@ def validate_environment(environ: Mapping[str, str] | None = None) -> None:
     try:
         registry.trace_memo_max(env)
     except ValueError as error:
-        problems.append(str(error))
-
-    try:
-        kernel_mode(env)
-    except KernelError as error:
         problems.append(str(error))
 
     switch_values = trace_cache._ON_VALUES + trace_cache._OFF_VALUES

@@ -1,9 +1,10 @@
 """Query batching: dedup by config fingerprint, one kernel call per group.
 
-PR 7's :class:`~repro.core.kernel.BatchedKernel` advances a *vector* of
-machine configurations per trace record, so N concurrent queries for
-the same (workload, factor) cost barely more than one — provided
-someone groups them.  That someone is :class:`QueryBatcher`:
+One :func:`repro.core.kernel.simulate_many` call over N configs shares
+trace acquisition and validation across them, and from
+``BATCH_MIN_WIDTH`` configs up it walks the trace once on the batched
+kernel — provided someone groups concurrent queries for the same
+(workload, factor).  That someone is :class:`QueryBatcher`:
 
 * Queries arriving within a short **batching window** (default 10 ms)
   for the same ``(workload, factor)`` join one group.
@@ -48,7 +49,6 @@ def _simulate_group(
     workload: str,
     factor: float,
     configs: list[MachineConfig],
-    kernel: str | None,
 ) -> list:
     """Executor entry point: one trace pass over the whole group.
 
@@ -60,7 +60,7 @@ def _simulate_group(
     from repro.experiments.common import scaled_trace
 
     trace = scaled_trace(workload, factor)
-    results = simulate_many(trace, configs, kernel=kernel)
+    results = simulate_many(trace, configs)
     return [result.stats for result in results]
 
 
@@ -115,13 +115,11 @@ class QueryBatcher:
         *,
         executor: concurrent.futures.Executor | None = None,
         window: float = DEFAULT_WINDOW,
-        kernel: str | None = None,
         jobs: int = 1,
     ) -> None:
         self.store = store
         self.metrics = metrics
         self.window = window
-        self.kernel = kernel
         self.executor = executor if executor is not None else build_executor(jobs)
         self._groups: dict[tuple[str, float], _Group] = {}
         self._dispatches: set[asyncio.Task] = set()
@@ -199,7 +197,7 @@ class QueryBatcher:
             ):
                 stats_list = await loop.run_in_executor(
                     self.executor,
-                    _simulate_group, workload, factor, configs, self.kernel,
+                    _simulate_group, workload, factor, configs,
                 )
         except BaseException as error:  # noqa: BLE001 - forwarded to waiters
             for futures in group.futures.values():

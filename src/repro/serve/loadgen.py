@@ -201,9 +201,7 @@ class LoadReport:
 
         ``cycles_per_second`` keeps its simulate-mode meaning (simulated
         cycles delivered per wall second, summed over every response);
-        the serve-only latency facts ride in the optional fields.  The
-        client cannot see which kernel the server runs, so the series is
-        keyed by the server's default, ``"scalar"``.
+        the serve-only latency facts ride in the optional fields.
         """
         wall = self.wall_seconds or 1e-9
         return {
@@ -219,7 +217,6 @@ class LoadReport:
             "instructions_per_second": self.instructions / wall,
             "cache_hits": self.memo_hits,
             "cache_misses": max(0, self.requests - self.memo_hits),
-            "kernel": "scalar",
             "mode": "serve",
             "requests_per_second": self.throughput,
             "latency_p50_ms": self.p50_ms,

@@ -86,7 +86,6 @@ class ServeConfig:
     port: int = 0  # 0 = ephemeral; the bound port is announced on stdout
     jobs: int = 1
     window: float = 0.010
-    kernel: str | None = None
     store_root: str = "results/.sim_memo"
     trace_out: str | None = None
     quiet: bool = False
@@ -362,7 +361,6 @@ async def run_server(
         store,
         metrics,
         window=config.window,
-        kernel=config.kernel,
         jobs=config.jobs,
     )
     ring: TimeSeriesRing | None = None

@@ -19,16 +19,17 @@ Document format (``version`` 1)::
                   "cycles_per_second": 219512.2,
                   "instructions_per_second": 97561.0,
                   "cache_hits": 1, "cache_misses": 0,
-                  "kernel": "scalar", "mode": "simulate"}, ...]}
+                  "mode": "simulate"}, ...]}
 
 Comparisons are only meaningful between like runs, so ``compare``
 refuses to judge a record against a baseline with a different
-``(workload, factor, config, kernel, mode)`` key — a changed sweep is
-a new series, not a regression.  ``kernel`` ("scalar" | "batched")
-names the simulation kernel that ran and ``mode`` ("simulate" |
-"serve" | "explore") the front end that drove it.  Fields outside the
-schema are kept as-is (older committed records still carry an inert
-``trace_path``).  Serve-mode records come from
+``(workload, factor, config, mode)`` key — a changed sweep is a new
+series, not a regression.  ``mode`` ("simulate" | "serve" | "explore")
+names the front end that drove the run; the simulation kernel follows
+from the config set (see :data:`repro.core.kernel.BATCH_MIN_WIDTH`),
+which ``config`` already names.  Fields outside the schema are kept
+as-is (older committed records still carry an inert ``trace_path`` and
+``kernel``).  Serve-mode records come from
 ``aurora-sim loadgen`` driving the live query service and additionally
 carry ``requests_per_second`` / ``latency_p50_ms`` / ``latency_p99_ms``;
 explore-mode records come from ``aurora-sim explore`` and additionally
@@ -69,7 +70,6 @@ _SCHEMA: dict[str, tuple[type, ...]] = {
 
 #: Required series-key fields with a closed value set: name -> allowed.
 _CHOICES: dict[str, tuple[str, ...]] = {
-    "kernel": ("scalar", "batched"),
     "mode": ("simulate", "serve", "explore"),
 }
 
@@ -85,7 +85,7 @@ _OPTIONAL_SCHEMA: dict[str, tuple[type, ...]] = {
 }
 
 #: The series key: ``compare`` only judges records that agree on all of it.
-_SERIES_KEY = ("workload", "factor", "config", "kernel", "mode")
+_SERIES_KEY = ("workload", "factor", "config", "mode")
 
 
 class BaselineError(ValueError):
@@ -280,10 +280,9 @@ class PerfHistory:
 
         Raises :class:`BaselineError` when no baseline is stored or when
         the baseline belongs to a different (workload, factor, config,
-        kernel, mode) series — in particular, a batched-kernel run is
-        never judged against a scalar one, nor a serve-mode load run
-        against a simulate-mode profile (or vice versa): those series
-        have different throughput by design.
+        mode) series — in particular, a serve-mode load run is never
+        judged against a simulate-mode profile (or vice versa): those
+        series have different throughput by design.
         """
         if not 0 < threshold < 1:
             raise BaselineError(

@@ -236,13 +236,8 @@ def publish_stats(
     stats: SimStats,
     registry: MetricsRegistry,
     prefix: str = "sim",
-    kernel: str | None = None,
 ) -> MetricsRegistry:
-    """Flatten one run's :class:`SimStats` into ``<prefix>.*`` metrics.
-
-    ``kernel`` optionally records which simulation kernel produced the
-    run as a ``<prefix>.kernel`` gauge (0 = scalar, 1 = batched).
-    """
+    """Flatten one run's :class:`SimStats` into ``<prefix>.*`` metrics."""
     counters = (
         ("instructions", stats.instructions),
         ("cycles", stats.cycles),
@@ -284,12 +279,6 @@ def publish_stats(
     )
     for name, value in gauges:
         registry.gauge(f"{prefix}.{name}").set(value)
-    if kernel is not None:
-        from repro.core.kernel import KERNEL_NAMES
-
-        registry.gauge(f"{prefix}.kernel").set(
-            float(KERNEL_NAMES.index(kernel))
-        )
     return registry
 
 

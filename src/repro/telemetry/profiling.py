@@ -142,10 +142,6 @@ class PerfReport:
     trace_seconds: float
     cache_hits: int
     cache_misses: int
-    #: Simulation kernel that ran: "scalar" or "batched".  Part of the
-    #: perf-history series key — throughput across kernels is not
-    #: comparable.
-    kernel: str = "scalar"
     phase_fractions: dict[str, float] = field(default_factory=dict)
     phase_samples: int = 0
     cprofile_top: str | None = None
@@ -182,15 +178,13 @@ class PerfReport:
             "instructions_per_second": self.instructions_per_second,
             "cache_hits": self.cache_hits,
             "cache_misses": self.cache_misses,
-            "kernel": self.kernel,
             "mode": "simulate",
         }
 
     def render(self) -> str:
         lines = [
             f"perf: {self.workload} @ factor {self.factor:g} "
-            f"on {self.config_label} "
-            f"[{self.kernel} kernel]",
+            f"on {self.config_label}",
             f"  instructions        {self.instructions:>14,}",
             f"  simulated cycles    {self.sim_cycles:>14,}",
             f"  simulate wall       {self.wall_seconds:>14.3f} s"
@@ -229,42 +223,26 @@ def profile_workload(
     sample: bool = True,
     use_cprofile: bool = False,
     top: int = DEFAULT_TOP,
-    kernel: str | None = None,
 ) -> PerfReport:
     """Profile one timing-simulation run of ``name`` at ``factor``.
 
     Trace acquisition (build or cache load) is timed separately and
     excluded from throughput; the phase sampler and the optional
-    cProfile wrap only the simulation call.  ``kernel`` selects the
-    simulation kernel (``"scalar"`` | ``"batched"``; ``None`` follows
-    ``REPRO_SIM_KERNEL``) — the history record tags the run so the two
-    series never compare.
+    cProfile wrap only the simulation call.
     """
     # Local imports: the telemetry package must stay importable from the
     # modules this profiles (processor, trace cache) without a cycle.
-    from repro.core.kernel import get_kernel
     from repro.core.processor import simulate_trace
     from repro.experiments.common import scaled_trace
     from repro.telemetry import tracing
     from repro.workloads import trace_cache
 
-    kernel_obj = get_kernel(kernel)
     base_hits, base_misses = trace_cache.snapshot()
     trace_started = time.perf_counter()
     with tracing.span("trace_acquire", "trace", workload=name):
         trace = scaled_trace(name, factor)
     trace_seconds = time.perf_counter() - trace_started
     hits, misses = trace_cache.snapshot()
-
-    if kernel_obj.name == "scalar":
-        simulate = simulate_trace
-    else:
-        # Mirrors simulate_trace (validate + span + run) so the two
-        # kernels' throughput series measure the same pipeline.
-        def simulate(trace, config):
-            from repro.core.kernel import simulate_many
-
-            return simulate_many(trace, [config], kernel=kernel_obj)[0]
 
     sampler = (
         PhaseSampler(interval=interval).start() if sample else None
@@ -273,9 +251,9 @@ def profile_workload(
     started = time.perf_counter()
     try:
         if profiler is not None:
-            result = profiler.runcall(simulate, trace, config)
+            result = profiler.runcall(simulate_trace, trace, config)
         else:
-            result = simulate(trace, config)
+            result = simulate_trace(trace, config)
     finally:
         wall = time.perf_counter() - started
         if sampler is not None:
@@ -303,7 +281,6 @@ def profile_workload(
         trace_seconds=trace_seconds,
         cache_hits=hits - base_hits,
         cache_misses=misses - base_misses,
-        kernel=kernel_obj.name,
         phase_fractions=sampler.fractions() if sampler else {},
         phase_samples=sampler.total_samples if sampler else 0,
         cprofile_top=cprofile_top,

@@ -1,4 +1,4 @@
-"""Golden SimStats ledger for the scalar timing loop.
+"""Golden SimStats ledger for the timing loop, on both kernels.
 
 The ledger pins every simulation the 12-experiment paper sweep runs at a
 fixed workload factor: one entry per (experiment, workload, config
@@ -12,10 +12,15 @@ Usage (``src`` must be importable, e.g. ``PYTHONPATH=src``)::
     python -m tests.golden.scalar_ledger --write tests/golden/scalar_f0.05.json
     python -m tests.golden.scalar_ledger --check tests/golden/scalar_f0.05.json
 
-``--write`` runs the sweep in process on the scalar kernel and records
-each :meth:`AuroraProcessor.run` call.  ``--check`` re-simulates every
-ledger entry from its stored spec, reports every digest mismatch and
-exits 1 if there was any.  The tier-1 suite checks :func:`stratified` entries only.
+``--write`` runs the sweep in process and records every result at the
+kernel boundary (``ScalarKernel`` and ``BatchedKernel``), so simulations
+that :func:`repro.core.kernel.simulate_many` routes to the batched
+kernel are pinned too.  ``--check`` re-simulates every ledger entry from
+its stored spec on the scalar loop, then re-runs each (experiment,
+workload) group of at least ``BATCH_MIN_WIDTH`` configs through plain
+``simulate_many`` (which picks the batched kernel at that width); it
+reports every digest mismatch and exits 1 if there was any.  The tier-1
+suite checks :func:`stratified` entries and the Figure 8 group only.
 """
 
 from __future__ import annotations
@@ -23,7 +28,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import os
 import pathlib
 import sys
 import time
@@ -49,27 +53,31 @@ def family(workload: str) -> str:
 
 
 def build_ledger(factor: float = FACTOR) -> dict:
-    """Run every paper experiment and record each scalar simulation."""
-    from repro.core.processor import AuroraProcessor
+    """Run every paper experiment and record each simulation it makes."""
+    from repro.core.kernel import BatchedKernel, ScalarKernel
     from repro.experiments.common import scaled_trace
     from repro.experiments.run_all import EXPERIMENTS
     from repro.robustness.guards import config_fingerprint
     from repro.serve.protocol import config_to_spec
     from repro.workloads.registry import FP_SUITE, INTEGER_SUITE
 
-    # The ledger pins the scalar loop: keep the kernel selection default.
-    os.environ.pop("REPRO_SIM_KERNEL", None)
     recorded: list = []
-    original = AuroraProcessor.run
+    originals = {
+        kernel: kernel.simulate_many for kernel in (ScalarKernel, BatchedKernel)
+    }
 
-    def recording_run(processor, trace):
-        result = original(processor, trace)
-        recorded.append((trace, processor.config, result.stats))
-        return result
+    def recording(original):
+        def simulate_many(kernel, trace, configs, **kwargs):
+            results = original(kernel, trace, configs, **kwargs)
+            recorded.extend((trace, r.config, r.stats) for r in results)
+            return results
+
+        return simulate_many
 
     entries: dict[str, dict] = {}
     configs: dict[str, dict] = {}
-    AuroraProcessor.run = recording_run
+    for kernel, original in originals.items():
+        kernel.simulate_many = recording(original)
     try:
         for experiment, run_experiment in EXPERIMENTS.items():
             recorded.clear()
@@ -102,7 +110,8 @@ def build_ledger(factor: float = FACTOR) -> dict:
                 }
                 configs[fingerprint] = config_to_spec(config)
     finally:
-        AuroraProcessor.run = original
+        for kernel, original in originals.items():
+            kernel.simulate_many = original
     return {
         "factor": factor,
         "configs": {fp: configs[fp] for fp in sorted(configs)},
@@ -151,6 +160,51 @@ def stratified(ledger: dict) -> list[dict]:
     return picked
 
 
+def wide_groups(ledger: dict) -> dict[tuple[str, str], list[dict]]:
+    """(experiment, workload) groups wide enough for the batched kernel."""
+    from repro.core.kernel import BATCH_MIN_WIDTH
+
+    groups: dict[tuple[str, str], list[dict]] = {}
+    for entry in ledger["entries"]:
+        key = (entry["experiment"], entry["workload"])
+        groups.setdefault(key, []).append(entry)
+    return {
+        key: group
+        for key, group in sorted(groups.items())
+        if len(group) >= BATCH_MIN_WIDTH
+    }
+
+
+def check_group(ledger: dict, group: list[dict]) -> list[str]:
+    """Re-simulate one group in one plain ``simulate_many`` call.
+
+    No ``kernel`` is named, so the call takes whichever kernel the
+    system picks for the group's width.  Returns mismatch messages.
+    """
+    from repro.core.kernel import simulate_many
+    from repro.experiments.common import scaled_trace
+    from repro.serve.protocol import config_from_spec
+
+    configs = [
+        config_from_spec(ledger["configs"][entry["fingerprint"]])
+        for entry in group
+    ]
+    trace = scaled_trace(group[0]["workload"], ledger["factor"])
+    problems = []
+    for entry, result in zip(group, simulate_many(trace, configs)):
+        digest = stats_digest(result.stats)
+        if digest != entry["digest"]:
+            problems.append(
+                f"{entry_label(entry)} (grouped): digest {digest[:12]} "
+                f"!= ledger {entry['digest'][:12]}"
+            )
+    return problems
+
+
+def entry_label(entry: dict) -> str:
+    return f"{entry['experiment']}|{entry['workload']}|{entry['fingerprint']}"
+
+
 def check_entry(ledger: dict, entry: dict) -> str | None:
     """Re-simulate one entry; returns a mismatch message or None."""
     from repro.core.processor import AuroraProcessor
@@ -159,7 +213,7 @@ def check_entry(ledger: dict, entry: dict) -> str | None:
     from repro.serve.protocol import config_from_spec
 
     config = config_from_spec(ledger["configs"][entry["fingerprint"]])
-    label = f"{entry['experiment']}|{entry['workload']}|{entry['fingerprint']}"
+    label = entry_label(entry)
     if config_fingerprint(config) != entry["fingerprint"]:
         return f"{label}: spec no longer fingerprints to the ledger key"
     trace = scaled_trace(entry["workload"], ledger["factor"])
@@ -197,7 +251,19 @@ def main(argv: list[str] | None = None) -> int:
         f"{total - failures}/{total} ledger entries match "
         f"in {time.perf_counter() - started:.1f} s"
     )
-    return 1 if failures else 0
+    groups = wide_groups(ledger)
+    grouped = sum(len(group) for group in groups.values())
+    grouped_failures = 0
+    for group in groups.values():
+        for problem in check_group(ledger, group):
+            grouped_failures += 1
+            print(problem, file=sys.stderr)
+    print(
+        f"{grouped - grouped_failures}/{grouped} entries in {len(groups)} "
+        "wide groups match through simulate_many "
+        f"in {time.perf_counter() - started:.1f} s"
+    )
+    return 1 if failures or grouped_failures else 0
 
 
 if __name__ == "__main__":

@@ -662,7 +662,7 @@ class TestEnvValidation:
     def test_defaults_and_valid_values_pass(self):
         validate_environment(
             {
-                "REPRO_SIM_KERNEL": "batched",
+                "REPRO_LOG_LEVEL": "debug",
                 "REPRO_TRACE_CACHE": "off",
                 "REPRO_TRACE_CACHE_VERIFY": "1",
                 "REPRO_TRACE_CACHE_DIR": "/tmp/somewhere-new",
@@ -673,14 +673,14 @@ class TestEnvValidation:
         with pytest.raises(EnvValidationError) as caught:
             validate_environment(
                 {
-                    "REPRO_SIM_KERNEL": "bogus",
+                    "REPRO_LOG_LEVEL": "bogus",
                     "REPRO_TRACE_CACHE": "maybe",
                     "REPRO_TRACE_CACHE_DIR": "  ",
                 }
             )
         message = str(caught.value)
         for name in (
-            "REPRO_SIM_KERNEL",
+            "REPRO_LOG_LEVEL",
             "REPRO_TRACE_CACHE",
             "REPRO_TRACE_CACHE_DIR",
         ):
@@ -695,9 +695,23 @@ class TestEnvValidation:
     def test_run_all_cli_exits_usage_on_bad_env(self, monkeypatch, capsys):
         from repro.experiments.run_all import main as run_all_main
 
-        monkeypatch.setenv("REPRO_SIM_KERNEL", "bogus")
+        monkeypatch.setenv("REPRO_LOG_LEVEL", "bogus")
         assert run_all_main(["--only", "fig1"]) == EXIT_USAGE
-        assert "REPRO_SIM_KERNEL" in capsys.readouterr().err
+        assert "REPRO_LOG_LEVEL" in capsys.readouterr().err
+
+    def test_leftover_kernel_variable_is_ignored(
+        self, monkeypatch, counting_trace, models
+    ):
+        # The system picks the kernel by batch width; a variable left
+        # over from when a user could choose neither fails validation
+        # nor moves a narrow batch off the scalar kernel.
+        from repro.core.kernel import batch_snapshot, simulate_many
+
+        monkeypatch.setenv("REPRO_SIM_KERNEL", "batched")
+        validate_environment()
+        before = batch_snapshot()
+        simulate_many(counting_trace, list(models))
+        assert batch_snapshot() == before
 
     def test_aurora_cli_exits_usage_on_bad_env(self, monkeypatch, capsys):
         from repro.experiments.cli import main as cli_main

@@ -304,7 +304,6 @@ class TestCrossSeriesRefusal:
             "cache_hits": 1,
             "cache_misses": 0,
             "trace_path": "prepared",
-            "kernel": "batched",
             "mode": "explore",
         }
         record.update(overrides)
@@ -316,13 +315,12 @@ class TestCrossSeriesRefusal:
         history = PerfHistory(tmp_path / "history.json")
         history.seed_baseline(self._record())
         divergent = self._record(
-            workload="compress", kernel="scalar", mode="simulate"
+            workload="compress", mode="simulate"
         )
         with pytest.raises(BaselineError) as excinfo:
             history.compare(divergent)
         message = str(excinfo.value)
         assert "workload='espresso'" in message
         assert "workload='compress'" in message
-        assert "kernel='batched'" in message
         assert "mode='explore'" in message
         assert "factor" not in message  # matching axes stay out of it

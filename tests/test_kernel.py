@@ -5,7 +5,9 @@ The contract under test is the one the module docstring of
 per-config :class:`~repro.core.stats.SimStats`, with the scalar kernel
 as the oracle.  The oracle suite runs both benchmark suites (one small
 trace each) across the three paper models at batch widths 1, 3 and a
-full mixed grid.
+full mixed grid.  The selection suite pins the width rule
+:func:`~repro.core.kernel.simulate_many` applies when no ``kernel`` is
+named.
 """
 
 from __future__ import annotations
@@ -15,18 +17,15 @@ import math
 import pytest
 
 from repro.core.kernel import (
-    ENV_KERNEL,
-    KERNEL_NAMES,
+    BATCH_MIN_WIDTH,
     BatchedKernel,
     KernelError,
-    ScalarKernel,
     batch_snapshot,
-    get_kernel,
-    kernel_mode,
     simulate_many,
 )
+from repro.experiments.fig8_design_space import design_points
 from repro.telemetry import tracing
-from repro.telemetry.events import EventBus
+from repro.telemetry.events import EventBus, EventKind, RingBufferSink
 
 
 def _full_grid(models):
@@ -89,7 +88,7 @@ class TestOracle:
         assert [r.stats for r in batch] == [r.stats for r in oracle]
 
     def test_empty_trace(self, models):
-        for kernel in KERNEL_NAMES:
+        for kernel in ("scalar", "batched"):
             for result in simulate_many([], list(models), kernel=kernel):
                 assert result.stats.instructions == 0
                 assert math.isnan(result.cpi)
@@ -119,40 +118,68 @@ class TestTelemetryRefusal:
         assert results[0].stats.instructions == len(counting_trace)
 
 
+def _fig8_grid():
+    """The Figure 8 catalogue plus a slower-memory variant: 58 configs."""
+    catalogue = [config for _, config, _ in design_points()]
+    return catalogue + [c.with_latency(c.mem_latency + 4) for c in catalogue]
+
+
+def _kernel_ran(trace, configs, **kwargs) -> str:
+    """Run ``simulate_many``; return the kernel its span names."""
+    tracer = tracing.SpanTracer()
+    with tracing.use_tracer(tracer):
+        simulate_many(trace, configs, **kwargs)
+    (span,) = [
+        record
+        for record in tracer.finished_records()
+        if record["name"] == "simulate_batch"
+    ]
+    return span["args"]["kernel"]
+
+
 class TestSelection:
-    def test_default_is_scalar(self):
-        assert kernel_mode({}) == KERNEL_NAMES[0] == "scalar"
+    """Without ``kernel=``, the batch width and telemetry pick the kernel."""
 
-    def test_env_selects_batched_case_insensitive(self):
-        assert kernel_mode({ENV_KERNEL: "BATCHED"}) == "batched"
+    def test_below_threshold_runs_scalar(self, counting_trace):
+        configs = _fig8_grid()[: BATCH_MIN_WIDTH - 1]
+        before = batch_snapshot()
+        kernel = _kernel_ran(counting_trace, configs)
+        assert kernel == "scalar"
+        assert batch_snapshot() == before
 
-    def test_bad_env_value_names_the_variable(self):
-        with pytest.raises(KernelError, match=ENV_KERNEL):
-            kernel_mode({ENV_KERNEL: "vectorised"})
+    def test_at_threshold_runs_batched(self, counting_trace):
+        configs = _fig8_grid()[:BATCH_MIN_WIDTH]
+        calls, simulated = batch_snapshot()
+        kernel = _kernel_ran(counting_trace, configs)
+        assert kernel == "batched"
+        assert batch_snapshot() == (calls + 1, simulated + BATCH_MIN_WIDTH)
 
-    def test_get_kernel_by_name(self):
-        assert isinstance(get_kernel("scalar"), ScalarKernel)
-        assert isinstance(get_kernel("batched"), BatchedKernel)
+    def test_active_telemetry_runs_scalar_and_delivers(self, counting_trace):
+        configs = _fig8_grid()
+        ring = RingBufferSink(kinds={EventKind.RETIRE})
+        bus = EventBus(ring)
+        before = batch_snapshot()
+        try:
+            results = simulate_many(counting_trace, configs, telemetry=bus)
+        finally:
+            bus.close()
+        assert batch_snapshot() == before
+        assert len(ring.events) == sum(r.stats.instructions for r in results)
 
-    def test_get_kernel_unknown(self):
+    def test_sinkless_bus_does_not_force_scalar(self, counting_trace):
+        configs = _fig8_grid()[:BATCH_MIN_WIDTH]
+        kernel = _kernel_ran(counting_trace, configs, telemetry=EventBus())
+        assert kernel == "batched"
+
+    def test_explicit_kernel_overrides(self, counting_trace, models):
+        kernel = _kernel_ran(counting_trace, [models[1]], kernel="batched")
+        assert kernel == "batched"
+        kernel = _kernel_ran(counting_trace, _fig8_grid(), kernel="scalar")
+        assert kernel == "scalar"
+
+    def test_unknown_kernel_name_refused(self, counting_trace, models):
         with pytest.raises(KernelError, match="unknown kernel"):
-            get_kernel("simd")
-
-    def test_get_kernel_follows_environment(self, monkeypatch):
-        monkeypatch.setenv(ENV_KERNEL, "batched")
-        assert isinstance(get_kernel(), BatchedKernel)
-        monkeypatch.delenv(ENV_KERNEL)
-        assert isinstance(get_kernel(), ScalarKernel)
-
-    def test_validate_environment_rejects_bad_kernel(self, monkeypatch):
-        from repro.robustness.validation import (
-            EnvValidationError,
-            validate_environment,
-        )
-
-        monkeypatch.setenv(ENV_KERNEL, "vectorised")
-        with pytest.raises(EnvValidationError, match=ENV_KERNEL):
-            validate_environment()
+            simulate_many(counting_trace, list(models), kernel="simd")
 
 
 class TestAccounting:

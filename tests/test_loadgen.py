@@ -115,7 +115,6 @@ class TestLoadReport:
             "instructions_per_second": 8000.0,
             "cache_hits": 0,
             "cache_misses": 1,
-            "kernel": "scalar",
             "mode": "simulate",
         }
         history.seed_baseline(simulate_baseline)

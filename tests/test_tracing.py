@@ -412,7 +412,6 @@ def _record(**overrides):
         "instructions_per_second": 80000.0,
         "cache_hits": 1,
         "cache_misses": 0,
-        "kernel": "scalar",
         "mode": "simulate",
     }
     base.update(overrides)
@@ -496,7 +495,7 @@ class TestPerfHistory:
         sha = git_sha()
         assert isinstance(sha, str) and sha
 
-    @pytest.mark.parametrize("field", ["kernel", "mode"])
+    @pytest.mark.parametrize("field", ["mode"])
     def test_series_fields_required_and_closed(self, field):
         record = _record()
         del record[field]
@@ -508,11 +507,13 @@ class TestPerfHistory:
             validate_record(_record(**{field: 7}))
 
     def test_fields_outside_the_schema_are_inert(self, tmp_path):
-        # Older committed records still carry a trace_path key; it is
-        # kept as history and plays no part in the series key.
+        # Older committed records still carry trace_path and kernel
+        # keys; they are kept as history and play no part in the series
+        # key.
         history = PerfHistory(tmp_path / "h.json")
-        history.seed_baseline(_record(trace_path="tuples"))
+        history.seed_baseline(_record(trace_path="tuples", kernel="batched"))
         assert history.baseline()["trace_path"] == "tuples"
+        assert history.baseline()["kernel"] == "batched"
         assert not history.compare(_record()).regressed
 
 
@@ -533,9 +534,10 @@ class TestProfiling:
         assert validate_record(record) == record
         assert record["mode"] == "simulate"
         assert "trace_path" not in record
+        assert "kernel" not in record
         text = report.render()
         assert "sim-cycles/s" in text
-        assert f"[{report.kernel} kernel]" in text
+        assert "kernel]" not in text
 
     def test_cprofile_opt_in(self):
         report = profile_workload(
